@@ -11,7 +11,6 @@ from .problems import (
     BurgersDiscretization,
     OdeSystem,
     burgers_semidiscretize,
-    eval_jacobian,
     make_benchmark,
 )
 from .integrators import (
@@ -31,13 +30,11 @@ from .collocation import (
     LmOptions,
     TrainReport,
     TrainingError,
-    burgers_jacobian_apply,
     collocation_grid,
     collocation_nodes,
     levenberg_marquardt,
     quadrature_weights,
     residual,
-    residual_cost,
     residual_jacobian,
     train_coarse,
 )
@@ -91,14 +88,12 @@ __all__ = [
     "TrainReport",
     "TrainingError",
     "admissible_step_bound",
-    "burgers_jacobian_apply",
     "burgers_semidiscretize",
     "collocation_grid",
     "collocation_nodes",
     "correction_step",
     "defect",
     "defect_error_bound",
-    "eval_jacobian",
     "eval_network",
     "eval_network_derivative",
     "evaluate_piecewise",
@@ -112,7 +107,6 @@ __all__ = [
     "quadrature_certificate",
     "quadrature_weights",
     "residual",
-    "residual_cost",
     "residual_jacobian",
     "rk4_step",
     "sample_basis",

@@ -140,7 +140,9 @@ def quadrature_certificate(
     dp_table = np.diff(samples, n=p, axis=0) / h**p
     max_dp = float(np.max(np.linalg.norm(dp_table, axis=1)))
     kappa_bar = (1.0 + rho_sum / dt) * max_dp / math.factorial(p)
-    quad_term = delta * kappa_bar * dt ** (p + 1)
+    # delta may be close to the float maximum on a strongly expanding flow,
+    # so it multiplies last, after the small dt power has shrunk kappa_bar.
+    quad_term = delta * (kappa_bar * dt ** (p + 1))
     return Certificate(
         epsilon=epsilon,
         delta=delta,

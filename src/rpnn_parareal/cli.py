@@ -1,8 +1,9 @@
 """Experiment runner: config parsing, solver invocation, and run artifacts.
 
-A run executes the parallel-in-time solver on one benchmark, compares the
-result against the sequential fine reference, times the phases over repeated
-solves, and writes CSV/JSON artifacts suitable for plotting.
+A run executes the parallel-in-time solver `repeats` times on one benchmark,
+timing the phases of each solve; the first solve provides the result, which
+is compared against the sequential fine reference and written out as CSV/JSON
+artifacts suitable for plotting.
 
 Output files (all CSVs carry a header row; floats are printed with 17
 significant digits so parsing reproduces the in-memory values bitwise):
@@ -13,7 +14,7 @@ significant digits so parsing reproduces the in-memory values bitwise):
 * ``errors.csv``     per-iteration stopping error
 * ``reference.csv``  node states of the sequential fine solve
 * ``compare.csv``    per-node Euclidean and max-abs deviation from reference
-* ``timings.json``   per-phase wall-clock statistics over the timed repeats
+* ``timings.json``   per-phase wall-clock statistics over the ``repeats`` solves
 * ``meta.json``      config echo, seeds, basis conditioning, train reports,
   certificates (with ``--certify``), comparison maxima
 
@@ -32,7 +33,6 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -274,19 +274,6 @@ def compare_with_serial(parareal_nodes: np.ndarray, serial_nodes: np.ndarray) ->
     return ComparisonTable(euclid, max_abs, float(np.max(euclid)), float(np.max(max_abs)))
 
 
-def timing_harness(task: Callable[[], object], repeats: int) -> dict:
-    """Wall-clock statistics over `repeats` runs, after one excluded warm-up."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    task()
-    times = []
-    for _ in range(repeats):
-        tic = time.perf_counter()
-        task()
-        times.append(time.perf_counter() - tic)
-    return _stats(times)
-
-
 def _stats(values: list[float]) -> dict:
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
@@ -341,7 +328,7 @@ def _certificates(system, result: PararealResult, node_kind: str) -> list[dict]:
 
 
 def run_experiment(config: ExperimentConfig) -> RunArtifact:
-    """Solve, compare with the serial reference, time repeats, write artifacts."""
+    """Solve `repeats` times, compare the first with the serial reference, write artifacts."""
     system, x0 = _build_problem(config)
     mesh = _build_mesh(config)
     rpnn = config.rpnn
@@ -382,7 +369,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     }
 
     try:
-        # The artifact solve doubles as the timing warm-up.
+        # The artifact solve is also the first timed solve.
         result = parareal_solve(system, x0, mesh, pconfig)
     except SolverError as exc:
         meta["failure"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -395,23 +382,22 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     serial_time = time.perf_counter() - tic
     comparison = compare_with_serial(result.node_states, reference)
 
-    repeat_seeds = []
-    phase_samples: dict[str, list[float]] = {
-        "zeroth_sweep": [], "fine_sweeps": [], "coarse_sweeps": [], "total": [],
-    }
-    coarse_step_means = []
-    for r in range(config.repeats):
+    repeat_seeds = [base_seed]
+    solve_timings = [result.timings]
+    for r in range(1, config.repeats):
         seed_r = base_seed if pinned else int(
             np.random.SeedSequence((base_seed, 0xA11CE, r)).generate_state(1)[0]
         )
         repeat_seeds.append(seed_r)
         cfg_r = dataclasses.replace(pconfig, seed=seed_r, record_trace=False)
-        timed = parareal_solve(system, x0, mesh, cfg_r)
-        for key in phase_samples:
-            phase_samples[key].append(timed.timings[key])
-        coarse_step_means.append(
-            float(np.mean(timed.timings["zeroth_train_per_interval"]))
-        )
+        solve_timings.append(parareal_solve(system, x0, mesh, cfg_r).timings)
+    phase_samples = {
+        key: [t[key] for t in solve_timings]
+        for key in ("zeroth_sweep", "fine_sweeps", "coarse_sweeps", "total")
+    }
+    coarse_step_means = [
+        float(np.mean(t["zeroth_train_per_interval"])) for t in solve_timings
+    ]
 
     timings = {
         "repeats": config.repeats,
@@ -492,8 +478,11 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, help="JSON config file")
     parser.add_argument("--out", type=str, help="output directory")
     parser.add_argument("--seed", type=int, help="pin the inner-weight seed")
-    parser.add_argument("--workers", type=int, help="fine-sweep worker threads")
-    parser.add_argument("--repeats", type=int, help="timed repeats (excluding warm-up)")
+    parser.add_argument("--workers", type=int,
+                        help="accepted for compatibility; has no effect, the fine "
+                             "sweep runs in the calling thread")
+    parser.add_argument("--repeats", type=int,
+                        help="timed solves; the first also provides the artifacts")
     parser.add_argument("--certify", action="store_true",
                         help="attach per-interval error certificates to meta.json")
     parser.add_argument("--trace", action="store_true",

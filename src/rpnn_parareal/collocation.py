@@ -35,6 +35,19 @@ _MAX_MOMENT_NODES = 9
 
 _MARQUARDT_DIAG_FLOOR = 1e-14
 
+# Levenberg-Marquardt stopping rules and damping schedule.
+_RESIDUAL_TOL = 1e-10
+_STEP_TOL = 1e-12
+_LAMBDA_INIT = 1e-3
+_LAMBDA_INCREASE = 10.0
+_LAMBDA_DECREASE = 10.0
+_LAMBDA_MIN = 1e-12
+_LAMBDA_MAX = 1e10
+# Conjugate-gradient inner solve of the matrix-free path: relative residual
+# tolerance and iteration cap per unknown.
+_CG_TOL = 1e-12
+_CG_MAX_ITER_FACTOR = 10
+
 
 class TrainingError(SolverError):
     """Levenberg-Marquardt failed; carries solver context when available."""
@@ -164,34 +177,25 @@ def residual(
     return basis.feat_prime @ theta - f_rows
 
 
-def residual_cost(
-    basis: "RpnnBasis", theta: np.ndarray, x0: np.ndarray, system: OdeSystem
-) -> float:
-    g = residual(basis, theta, x0, system)
-    return float(np.sum(g * g))
-
-
 def residual_jacobian(
     basis: "RpnnBasis", theta: np.ndarray, x0: np.ndarray, system: OdeSystem
 ) -> np.ndarray:
     """Dense Jacobian of vec(G) w.r.t. vec(theta), shape (C*d, H*d).
 
-    The field contribution is built blockwise: block (j, k) is the diagonal,
-    over nodes c, of DF(state_c)[j, k].
+    Entry ((j, c), (k, h)) is delta_jk Hp[c, h] - DF(state_c)[j, k] Hm[c, h].
     """
-    c_count, h_count = basis.feat_prime.shape
+    hp, hm = basis.feat_prime, basis.feat_shifted
+    c_count, h_count = hp.shape
     d = system.dim
     states = collocation_states(basis, theta, x0)
     jacs = np.empty((c_count, d, d))
     for c in range(c_count):
         jacs[c] = system.jacobian(states[c])
-    dvec_f = np.zeros((c_count * d, c_count * d))
-    cidx = np.arange(c_count)
-    for j in range(d):
-        for k in range(d):
-            dvec_f[j * c_count + cidx, k * c_count + cidx] = jacs[:, j, k]
-    eye = np.eye(d)
-    return np.kron(eye, basis.feat_prime) - dvec_f @ np.kron(eye, basis.feat_shifted)
+    # Axes (j, c, k, h): rows of vec(G) are (j, c), columns of vec(theta) (k, h).
+    eye = np.eye(d)[:, np.newaxis, :, np.newaxis]
+    dfs = jacs.transpose(1, 0, 2)[:, :, :, np.newaxis]
+    blocks = eye * hp[:, np.newaxis, :] - dfs * hm[:, np.newaxis, :]
+    return blocks.reshape(d * c_count, d * h_count)
 
 
 class BurgersJacobianOperator:
@@ -279,19 +283,6 @@ class BurgersJacobianOperator:
         return _vec(self.diag_jtj_mat())
 
 
-def burgers_jacobian_apply(
-    basis: "RpnnBasis",
-    theta: np.ndarray,
-    x0: np.ndarray,
-    disc: BurgersDiscretization,
-    v: np.ndarray,
-    transpose: bool = False,
-) -> np.ndarray:
-    """Apply the Burgers residual Jacobian (or its transpose) to a vector."""
-    op = BurgersJacobianOperator(basis, theta, x0, disc)
-    return op.rmatvec(v) if transpose else op.matvec(v)
-
-
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt
 # ---------------------------------------------------------------------------
@@ -299,34 +290,19 @@ def burgers_jacobian_apply(
 
 @dataclass(frozen=True)
 class LmOptions:
-    """Damping schedule and stopping rules; defaults are deliberately boring.
+    """Iteration cap and the floor-step mode of the Levenberg-Marquardt trainer.
 
     With `floor_to_gauss_newton` (the default), a step whose damping has hit
-    lambda_min is computed without damping, via a rank-revealing solve: a
+    its floor is computed without damping, via a rank-revealing solve: a
     floored Marquardt term would suppress small-singular-value directions
     indefinitely.  Callers fitting under-resolved stiff transients should
     turn it off so the fit stays regularized.
     """
 
     max_iter: int = 100
-    residual_tol: float = 1e-10
-    step_tol: float = 1e-12
-    lambda_init: float = 1e-3
-    lambda_increase: float = 10.0
-    lambda_decrease: float = 10.0
-    lambda_min: float = 1e-12
-    lambda_max: float = 1e10
-    cg_tol: float = 1e-12
-    cg_max_iter_factor: int = 10
     floor_to_gauss_newton: bool = True
 
     def __post_init__(self):
-        for name in ("residual_tol", "step_tol", "lambda_init", "lambda_increase",
-                     "lambda_decrease", "lambda_min", "lambda_max", "cg_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not (self.lambda_min < self.lambda_init < self.lambda_max):
-            raise ValueError("need lambda_min < lambda_init < lambda_max")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -419,10 +395,10 @@ def levenberg_marquardt(
     cost = float(np.sum(r * r))
     cost_history = [cost]
     res_norm = math.sqrt(cost)
-    if res_norm <= opts.residual_tol:
+    if res_norm <= _RESIDUAL_TOL:
         return theta, TrainReport(0, cost, _max_row_norm(r), 0, 0, "residual_tol",
                                   tuple(cost_history))
-    lam = opts.lambda_init
+    lam = _LAMBDA_INIT
     iterations = accepted = rejected = 0
     reason = "max_iter"
     need_jacobian = True
@@ -453,7 +429,7 @@ def levenberg_marquardt(
                     # a rank-revealing solve), as floored damping would keep
                     # suppressing small-singular-value directions forever.
                     n_unknowns = len(g)
-                    if opts.floor_to_gauss_newton and lam <= opts.lambda_min:
+                    if opts.floor_to_gauss_newton and lam <= _LAMBDA_MIN:
                         delta = np.linalg.lstsq(jac, -_vec(r), rcond=None)[0]
                     else:
                         augmented = np.vstack([jac, np.diag(np.sqrt(lam * diag))])
@@ -464,17 +440,17 @@ def levenberg_marquardt(
                     delta = _conjugate_gradient(
                         lambda v: jac.rmatvec_mat(jac.matvec_mat(v)) + lam * (diag * v),
                         -g,
-                        opts.cg_tol,
-                        opts.cg_max_iter_factor * g.size,
+                        _CG_TOL,
+                        _CG_MAX_ITER_FACTOR * g.size,
                         apply_m=preconditioner,
                     )
                 break
             except np.linalg.LinAlgError as exc:
-                if lam >= opts.lambda_max:
+                if lam >= _LAMBDA_MAX:
                     raise TrainingError(
                         f"linear solve failed after damping escalation to {lam:.1e}"
                     ) from exc
-                lam = min(lam * opts.lambda_increase, opts.lambda_max)
+                lam = min(lam * _LAMBDA_INCREASE, _LAMBDA_MAX)
         if dense and theta.ndim == 2:
             theta_try = theta + _unvec(delta, shape)
         else:
@@ -487,19 +463,19 @@ def levenberg_marquardt(
             accepted += 1
             need_jacobian = True
             cost_history.append(cost)
-            lam = max(lam / opts.lambda_decrease, opts.lambda_min)
-            if math.sqrt(cost) <= opts.residual_tol:
+            lam = max(lam / _LAMBDA_DECREASE, _LAMBDA_MIN)
+            if math.sqrt(cost) <= _RESIDUAL_TOL:
                 reason = "residual_tol"
                 break
-            if step_norm <= opts.step_tol:
+            if step_norm <= _STEP_TOL:
                 reason = "step_tol"
                 break
         else:
             rejected += 1
-            if step_norm <= opts.step_tol:
+            if step_norm <= _STEP_TOL:
                 reason = "step_tol"
                 break
-            lam = min(lam * opts.lambda_increase, opts.lambda_max)
+            lam = min(lam * _LAMBDA_INCREASE, _LAMBDA_MAX)
     return theta, TrainReport(
         iterations, cost, _max_row_norm(r), accepted, rejected, reason,
         tuple(cost_history),

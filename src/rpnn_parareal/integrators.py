@@ -2,8 +2,9 @@
 
 Two steppers are provided: the classical explicit RK4 scheme and implicit
 Euler solved by a plain Newton iteration with the exact Jacobian.  Both are
-pure functions of their inputs, so propagation over distinct subintervals can
-run concurrently without coordination.
+pure functions of their inputs, so propagation over distinct subintervals is
+independent; the Parareal fine sweep nevertheless runs the subintervals one
+after another in the calling thread.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ One pass of the algorithm:
 * zeroth iterate: a sequential coarse sweep trains one weight matrix per
   interval and propagates the nodes with the network;
 * each later iteration runs the fine propagator from the previous iterate's
-  nodes on every interval (a fork-join, parallelizable sweep), then a
-  sequential coarse re-sweep retrains the weights at the updated nodes and
-  applies the predictor-corrector update;
+  nodes on every interval (independent propagations, run one after another
+  in the calling thread), then a sequential coarse re-sweep retrains the
+  weights at the updated nodes and applies the predictor-corrector update;
 * the stopping error is the largest Euclidean node difference between
   consecutive iterates.
 
@@ -20,7 +20,6 @@ hold bitwise.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -81,6 +80,8 @@ class PararealConfig:
     Training inside the driver keeps damping active even once the schedule
     floors: exact collocation fits of under-resolved stiff transients have
     huge outer weights, which makes the coarse map erratic across iterations.
+    `workers` is accepted and validated but has no effect: the fine sweep
+    runs in the calling thread.
     """
 
     fine: FineMethod
@@ -133,14 +134,16 @@ def correction_step(x_fine: np.ndarray, x_coarse_new: np.ndarray,
 
 
 def stopping_error(current_nodes: np.ndarray, previous_nodes: np.ndarray) -> float:
-    """Largest Euclidean difference over the non-initial mesh nodes."""
+    """Largest Euclidean difference over the non-initial mesh nodes.
+
+    One norm per node: the batched ``axis=1`` norm can differ in the last ulp.
+    """
     current = np.asarray(current_nodes, dtype=float)
     previous = np.asarray(previous_nodes, dtype=float)
     if current.shape != previous.shape:
         raise ValueError("iterates must share one shape")
-    if len(current) < 2:
-        return 0.0
-    return float(np.max(np.linalg.norm(current[1:] - previous[1:], axis=1)))
+    return max([0.0, *(float(np.linalg.norm(c - p))
+                       for c, p in zip(current[1:], previous[1:]))])
 
 
 def _interval_seed(seed: int, n: int) -> int:
@@ -211,59 +214,28 @@ class _CoarseTrainer:
 
 def zeroth_iterate(
     system: OdeSystem, x0: np.ndarray, mesh: TimeMesh, config: PararealConfig
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, _CoarseTrainer, list[TrainReport], list[float]]:
+) -> tuple[np.ndarray, _CoarseTrainer, list[TrainReport], list[float]]:
     """Sequential coarse sweep producing starting values for every interval.
 
-    Returns the node states, trained weights, the cached coarse endpoint
-    values (used by the first correction), the trainer holding the bases, the
-    per-interval train reports, and per-interval training times.
+    Returns the node states (each one the coarse endpoint of the interval
+    before it), the trainer holding the bases and weights, the per-interval
+    train reports, and per-interval training times.
     """
     x0 = np.asarray(x0, dtype=float)
     trainer = _CoarseTrainer(system, mesh, config)
     n_int = mesh.n_intervals
     nodes = np.empty((n_int + 1, system.dim))
     nodes[0] = x0
-    coarse_cache = np.empty((n_int + 1, system.dim))
     reports: list[TrainReport] = []
     train_times: list[float] = []
     for n in range(n_int):
         tic = time.perf_counter()
-        coarse, report = trainer.train_and_step(
+        nodes[n + 1], report = trainer.train_and_step(
             n, nodes[n], iteration=0, warm_from_previous_interval=True
         )
         train_times.append(time.perf_counter() - tic)
-        nodes[n + 1] = coarse
-        coarse_cache[n + 1] = coarse
         reports.append(report)
-    return nodes, list(trainer.thetas), coarse_cache, trainer, reports, train_times
-
-
-def _fine_sweep(
-    system: OdeSystem,
-    prev_nodes: np.ndarray,
-    lengths: np.ndarray,
-    fine: FineMethod,
-    workers: int,
-) -> np.ndarray:
-    """Fine propagation of every interval from the previous iterate's nodes.
-
-    Pure fork-join: results land in an index-addressed buffer, so the output
-    is identical for any worker count.
-    """
-    n_int = len(lengths)
-    out = np.empty((n_int, len(prev_nodes[0])))
-
-    def task(n: int) -> np.ndarray:
-        return fine_propagate(system, prev_nodes[n], float(lengths[n]), fine)
-
-    if workers == 1:
-        for n in range(n_int):
-            out[n] = task(n)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for n, value in enumerate(pool.map(task, range(n_int))):
-                out[n] = value
-    return out
+    return nodes, trainer, reports, train_times
 
 
 def parareal_solve(
@@ -276,7 +248,7 @@ def parareal_solve(
     """Run the hybrid Parareal iteration to tolerance or the iteration cap.
 
     The fine sweep of iteration i consumes only iterate i-1's nodes, never
-    in-flight values, preserving the parallel structure on any worker count.
+    in-flight values, preserving the parallel structure of the algorithm.
     `_freeze_coarse` is a test hook that pins the coarse values, reducing one
     iteration to a pure fine sweep.
     """
@@ -286,12 +258,13 @@ def parareal_solve(
         step_count(float(length), config.fine.dt)  # validate divisibility early
 
     t_start = time.perf_counter()
-    prev_nodes, _, coarse_cache, trainer, zeroth_reports, zeroth_times = zeroth_iterate(
+    prev_nodes, trainer, zeroth_reports, zeroth_times = zeroth_iterate(
         system, x0, mesh, config
     )
     t_zeroth = time.perf_counter() - t_start
 
     n_int = mesh.n_intervals
+    coarse_cache = prev_nodes.copy()
     error_history: list[float] = []
     train_reports: list[list[TrainReport]] = [zeroth_reports]
     trace = [prev_nodes.copy()] if config.record_trace else None
@@ -302,18 +275,19 @@ def parareal_solve(
     i = 1
     while i < config.max_it and error > config.tol:
         tic = time.perf_counter()
-        try:
-            fine_values = _fine_sweep(system, prev_nodes, lengths, config.fine,
-                                      config.workers)
-        except SolverError as exc:
-            exc.iteration = i
-            raise
+        fine_values = np.empty((n_int, system.dim))
+        for n in range(n_int):
+            try:
+                fine_values[n] = fine_propagate(system, prev_nodes[n], float(lengths[n]),
+                                                config.fine)
+            except SolverError as exc:
+                exc.interval, exc.iteration = n, i
+                raise
         fine_time += time.perf_counter() - tic
 
         tic = time.perf_counter()
         new_nodes = np.empty_like(prev_nodes)
         new_nodes[0] = x0
-        error = 0.0
         iteration_reports: list[TrainReport] = []
         for n in range(n_int):
             if _freeze_coarse:
@@ -326,9 +300,7 @@ def parareal_solve(
             coarse_cache[n + 1] = coarse
             if report is not None:
                 iteration_reports.append(report)
-            error = max(
-                error, float(np.linalg.norm(new_nodes[n + 1] - prev_nodes[n + 1]))
-            )
+        error = stopping_error(new_nodes, prev_nodes)
         coarse_time += time.perf_counter() - tic
 
         prev_nodes = new_nodes

@@ -67,21 +67,6 @@ class BurgersDiscretization:
         return np.arange(self.grid_size) * self.dx
 
 
-def _require_finite(x: Vector, what: str) -> Vector:
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"non-finite {what}: {x!r}")
-    return x
-
-
-def eval_jacobian(system: OdeSystem, x: Vector) -> Matrix:
-    """Analytic Jacobian DF(x), with input validation."""
-    x = _require_finite(x, "state")
-    if x.shape != (system.dim,):
-        raise ValueError(f"state must have shape ({system.dim},), got {x.shape}")
-    return system.jacobian(x)
-
-
 def _sir(beta: float, gamma: float) -> OdeSystem:
     def fun(x):
         infection = beta * x[0] * x[1]

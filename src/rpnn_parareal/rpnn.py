@@ -50,12 +50,10 @@ class RpnnBasis:
     dt: float
     feat: np.ndarray          # sigma(a t_c + b), C x H
     feat_prime: np.ndarray    # sigma'(a t_c + b) * a, C x H
-    feat0: np.ndarray         # 1_C sigma(b)^T, C x H
-    feat_shifted: np.ndarray  # feat - feat0
+    feat_shifted: np.ndarray  # feat - 1_C sigma(b)^T
     cond: float
     resamples: int
     seed: int
-    activation: str = "tanh"
 
 
 def _feature_matrices(a, b, nodes):
@@ -73,7 +71,6 @@ def sample_basis(
     node_kind: str = "uniform",
     bounds: tuple[float, float] = (-1.0, 1.0),
     seed: int = 0,
-    activation: str = "tanh",
 ) -> RpnnBasis:
     """Draw the frozen inner layer and precompute the node feature matrices.
 
@@ -88,8 +85,6 @@ def sample_basis(
     lo, hi = bounds
     if not lo < hi:
         raise ValueError(f"invalid weight bounds {bounds!r}")
-    if activation != "tanh":
-        raise ValueError("only tanh is supported in v1")
     nodes = collocation_nodes(node_kind, colloc, dt)
     for attempt in range(_MAX_RESAMPLES + 1):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
@@ -101,7 +96,6 @@ def sample_basis(
             cond = float(singular_values[0] / singular_values[-1])
             if cond <= _COND_LIMIT:
                 sigma_b = np.tanh(b)
-                feat0 = np.tile(sigma_b, (colloc, 1))
                 return RpnnBasis(
                     hidden=hidden,
                     colloc=colloc,
@@ -113,8 +107,7 @@ def sample_basis(
                     dt=dt,
                     feat=feat,
                     feat_prime=feat_prime,
-                    feat0=feat0,
-                    feat_shifted=feat - feat0,
+                    feat_shifted=feat - sigma_b,
                     cond=cond,
                     resamples=attempt,
                     seed=seed,
@@ -125,20 +118,12 @@ def sample_basis(
     )
 
 
-def _flag_extrapolation(basis: RpnnBasis, t: float) -> None:
-    # Soft range check: evaluation outside [0, dt] is allowed (piecewise use
-    # never needs it) but worth a trace when debugging.
-    if t < 0.0 or t > basis.dt:
-        logger.debug("evaluating network outside [0, %s] at t=%s", basis.dt, t)
-
-
 def eval_network(basis: RpnnBasis, theta: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
     """Network value x0 + theta^T (sigma(a t + b) - sigma(b))."""
     if theta.shape[0] != basis.hidden or theta.shape[1] != len(x0):
         raise ValueError(
             f"theta shape {theta.shape} incompatible with H={basis.hidden}, d={len(x0)}"
         )
-    _flag_extrapolation(basis, t)
     features = np.tanh(basis.a * t + basis.b) - basis.sigma_b
     return x0 + theta.T @ features
 
@@ -147,7 +132,6 @@ def eval_network_derivative(basis: RpnnBasis, theta: np.ndarray, t: float) -> np
     """Time derivative theta^T (sigma'(a t + b) * a)."""
     if theta.shape[0] != basis.hidden:
         raise ValueError(f"theta shape {theta.shape} incompatible with H={basis.hidden}")
-    _flag_extrapolation(basis, t)
     tanh_z = np.tanh(basis.a * t + basis.b)
     return theta.T @ ((1.0 - tanh_z * tanh_z) * basis.a)
 

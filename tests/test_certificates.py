@@ -144,6 +144,20 @@ def test_certificate_zero_problem_is_zero():
     assert cert.epsilon == 0.0 and cert.quad_term == 0.0 and cert.total == 0.0
 
 
+def test_certificate_finite_when_sensitivity_near_float_max():
+    # exp(M dt) = 1e306 times a remainder factor of about 7e5 overflows, but
+    # the remainder factor times dt**6 is about 1e-2.
+    dt = 0.05
+    basis = sample_basis(5, 5, dt, bounds=(-10.0, 10.0), seed=0)
+    grid = collocation_grid("uniform", 5, dt)
+    log_norm = 306.0 * np.log(10.0) / dt
+    cert = quadrature_certificate(basis, np.ones((5, 1)), np.zeros(1), zero_system(1),
+                                  grid, log_norm)
+    assert cert.delta > 1e305
+    assert np.isfinite(cert.quad_term) and cert.quad_term > 0.0
+    assert np.isfinite(cert.total)
+
+
 def test_certificate_bounds_true_error_on_linear_flow():
     failures = 0
     for seed in range(20):

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import time
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from rpnn_parareal.cli import (
     compare_with_serial,
     main,
     run_experiment,
-    timing_harness,
 )
 
 
@@ -161,18 +159,6 @@ def test_compare_with_serial():
         compare_with_serial(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
-def test_timing_harness_statistics():
-    stats = timing_harness(lambda: None, 1)
-    assert stats["mean"] == stats["min"] == stats["max"]
-    assert stats["stddev"] == 0.0
-
-    stats = timing_harness(lambda: time.sleep(0.05), 3)
-    assert 0.03 <= stats["mean"] <= 0.12
-    assert stats["min"] <= stats["mean"] <= stats["max"]
-    with pytest.raises(ValueError):
-        timing_harness(lambda: None, 0)
-
-
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_main_exit_codes(tmp_path, capsys):
@@ -233,6 +219,24 @@ def test_unpinned_seed_is_fresh_but_recorded(tmp_path):
     artifact = run_experiment(config)
     assert artifact.meta["seed_pinned"] is False
     assert isinstance(artifact.meta["seed"], int)
+
+
+@pytest.mark.parametrize("repeats", [1, 2])
+def test_run_experiment_solves_repeats_times(tmp_path, monkeypatch, repeats):
+    import rpnn_parareal.cli as cli
+
+    calls = []
+    solve = cli.parareal_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[3].seed)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parareal_solve", counting)
+    artifact = run_experiment(_tiny_sir_config(tmp_path, repeats=repeats))
+    assert calls == [7] * repeats
+    assert artifact.meta["repeat_seeds"] == [7] * repeats
+    assert artifact.timings["repeats"] == repeats
 
 
 def test_timings_json_structure(tmp_path):

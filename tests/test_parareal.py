@@ -6,6 +6,7 @@ import pytest
 from rpnn_parareal import (
     FineMethod,
     PararealConfig,
+    StepFailure,
     TimeMesh,
     collocation_grid,
     correction_step,
@@ -97,20 +98,11 @@ def test_zeroth_iterate_zero_field():
     system = zero_system(2)
     x0 = np.array([1.5, -0.5])
     mesh = TimeMesh.uniform(0.0, 1.0, 4)
-    nodes, thetas, cache, *_ = zeroth_iterate(system, x0, mesh, _config(0.25, seed=0))
+    nodes, trainer, *_ = zeroth_iterate(system, x0, mesh, _config(0.25, seed=0))
     for n in range(5):
         assert np.array_equal(nodes[n], x0)
-    for theta in thetas:
+    for theta in trainer.thetas:
         assert np.array_equal(theta, np.zeros((5, 2)))
-    np.testing.assert_array_equal(cache[1:], nodes[1:])
-
-
-def test_zeroth_iterate_cache_equals_nodes():
-    system = make_benchmark("sir")
-    x0 = np.array([0.3, 0.5, 0.2])
-    mesh = TimeMesh.uniform(0.0, 4.0, 4)
-    nodes, _, cache, *_ = zeroth_iterate(system, x0, mesh, _config(1e-2, seed=1))
-    assert np.array_equal(cache[1:], nodes[1:])
 
 
 def test_zeroth_iterate_within_certificate_bound_of_exact_solution():
@@ -118,7 +110,8 @@ def test_zeroth_iterate_within_certificate_bound_of_exact_solution():
     x0 = np.array([1.0])
     mesh = TimeMesh.uniform(0.0, 1.0, 4)
     config = _config(0.25, seed=2)
-    nodes, thetas, _, trainer, *_ = zeroth_iterate(system, x0, mesh, config)
+    nodes, trainer, *_ = zeroth_iterate(system, x0, mesh, config)
+    thetas = trainer.thetas
     budget = 0.0
     for n in range(4):
         basis = trainer.bases[n]
@@ -206,6 +199,18 @@ def test_worker_count_does_not_change_results():
     r4 = parareal_solve(system, x0, mesh, threaded)
     assert np.array_equal(r1.node_states, r4.node_states)
     assert r1.error_history == r4.error_history
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_fine_sweep_failure_carries_interval_and_iteration():
+    # RK4 at h * lambda = -500 amplifies by about 3e9 per step: the one-step
+    # first interval stays finite, the 40-step second one overflows.
+    system = linear_system(-1000.0)
+    mesh = TimeMesh.from_blocks([(0.0, 0.5, 1), (0.5, 20.5, 1)])
+    with pytest.raises(StepFailure) as info:
+        parareal_solve(system, np.array([1.0]), mesh, _config(0.5, seed=0))
+    assert info.value.interval == 1
+    assert info.value.iteration == 1
 
 
 def test_sir_converges_in_fewer_iterations_than_intervals():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rpnn_parareal import OdeSystem, burgers_semidiscretize, eval_jacobian, make_benchmark
+from rpnn_parareal import OdeSystem, burgers_semidiscretize, make_benchmark
 from rpnn_parareal.problems import (
     ARENSTORF_V2_0,
     BENCHMARK_NAMES,
@@ -37,7 +37,7 @@ def test_field_component_sums_vanish(name):
 
 def test_sir_jacobian_hand_entry():
     system = make_benchmark("sir")
-    jac = eval_jacobian(system, np.array([0.3, 0.5, 0.2]))
+    jac = system.jacobian(np.array([0.3, 0.5, 0.2]))
     assert jac[0, 0] == pytest.approx(-0.05, rel=1e-14)
 
 
@@ -45,7 +45,7 @@ def test_linear_system_jacobian_is_constant():
     a = np.array([[1.0, 2.0], [-3.0, 0.5]])
     system = OdeSystem(2, lambda x: a @ x, lambda x: a.copy(), "lin")
     for x in (np.zeros(2), np.array([3.0, -7.0])):
-        np.testing.assert_array_equal(eval_jacobian(system, x), a)
+        np.testing.assert_array_equal(system.jacobian(x), a)
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
@@ -97,14 +97,6 @@ def test_make_benchmark_applies_overrides():
     np.testing.assert_allclose(
         system.field(np.array([1.0, 1.0, 0.0])), [-0.3, 0.2, 0.1], rtol=1e-14
     )
-
-
-def test_eval_jacobian_rejects_nonfinite_state():
-    system = make_benchmark("sir")
-    with pytest.raises(ValueError):
-        eval_jacobian(system, np.array([1.0, np.inf, 0.0]))
-    with pytest.raises(ValueError):
-        eval_jacobian(system, np.array([1.0, 2.0]))
 
 
 def test_system_is_frozen():

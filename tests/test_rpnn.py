@@ -23,11 +23,10 @@ def _tiny_basis(dt=1.0, node=None):
     feat = tanh_z
     feat_prime = (1.0 - tanh_z**2) * a
     sigma_b = np.tanh(b)
-    feat0 = np.tile(sigma_b, (1, 1))
     return RpnnBasis(
         hidden=1, colloc=1, a=a, b=b, sigma_b=sigma_b, nodes=nodes,
         node_kind="uniform", dt=dt, feat=feat, feat_prime=feat_prime,
-        feat0=feat0, feat_shifted=feat - feat0, cond=1.0, resamples=0, seed=0,
+        feat_shifted=feat - sigma_b, cond=1.0, resamples=0, seed=0,
     )
 
 
@@ -53,7 +52,7 @@ def test_feature_matrices_consistent_with_definition():
     np.testing.assert_allclose(
         basis.feat_prime, (1.0 - np.tanh(z) ** 2) * basis.a, atol=1e-14
     )
-    np.testing.assert_allclose(basis.feat0, np.tile(np.tanh(basis.b), (5, 1)), atol=0)
+    np.testing.assert_array_equal(basis.feat_shifted, basis.feat - np.tanh(basis.b))
     assert np.isfinite(basis.cond)
 
 
@@ -71,8 +70,6 @@ def test_sample_basis_validation():
         sample_basis(5, 5, 0.0)
     with pytest.raises(ValueError):
         sample_basis(5, 5, 1.0, bounds=(1.0, -1.0))
-    with pytest.raises(ValueError):
-        sample_basis(5, 5, 1.0, activation="relu")
 
 
 def test_no_resample_exhaustion_over_many_seeds():
