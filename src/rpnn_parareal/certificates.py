@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collocation import CollocationGrid
+from .integrators import SolverError
 from .problems import OdeSystem
 from .rpnn import RpnnBasis, eval_network, eval_network_derivative
 
@@ -58,7 +59,7 @@ def defect(
     value = eval_network(basis, theta, x0, t)
     out = eval_network_derivative(basis, theta, t) - system.field(value)
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"non-finite defect at t={t}")
+        raise SolverError(f"non-finite defect at t={t}")
     return out
 
 
@@ -96,10 +97,16 @@ def defect_error_bound(epsilon: float, log_norm: float, t: float) -> float:
 
 
 def sensitivity_bound(log_norm: float, dt: float) -> float:
-    """Bound exp(M dt) on the flow-map Jacobian norm over one interval."""
+    """Bound exp(M dt) on the flow-map Jacobian norm over one interval.
+
+    Past the float range this is the vacuous bound inf.
+    """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    return math.exp(log_norm * dt)
+    try:
+        return math.exp(log_norm * dt)
+    except OverflowError:
+        return math.inf
 
 
 def _defect_samples(basis, theta, x0, system, n_samples: int) -> tuple[np.ndarray, float]:

@@ -1,8 +1,10 @@
 """Experiment runner: config parsing, solver invocation, and run artifacts.
 
-A run executes the parallel-in-time solver `repeats` times on one benchmark,
-timing the phases of each solve; the first solve provides the result, which
-is compared against the sequential fine reference and written out as CSV/JSON
+A config is a JSON object overlaid on one benchmark's defaults
+(`benchmark_defaults`); `build_solver` turns it into the system, initial
+state, mesh and solver settings, and is also what validates it.  A run
+solves once with the parallel-in-time solver, timing its phases, compares
+the result against the sequential fine reference and writes CSV/JSON
 artifacts suitable for plotting.
 
 Output files (all CSVs carry a header row; floats are printed with 17
@@ -14,12 +16,13 @@ significant digits so parsing reproduces the in-memory values bitwise):
 * ``errors.csv``     per-iteration stopping error
 * ``reference.csv``  node states of the sequential fine solve
 * ``compare.csv``    per-node Euclidean and max-abs deviation from reference
-* ``timings.json``   per-phase wall-clock statistics over the ``repeats`` solves
+* ``timings.json``   phase wall-clock times of the solve, its mean zeroth-sweep
+  coarse step, and the serial reference time
 * ``meta.json``      config echo, seeds, basis conditioning, train reports,
   certificates (with ``--certify``), comparison maxima
 
-Exit codes: 0 success, 2 config error, 3 iteration cap hit without meeting
-the tolerance, 4 numerical failure.
+Exit codes: 0 success, 2 config error (nothing is written), 3 iteration cap
+hit without meeting the tolerance, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +41,9 @@ import numpy as np
 from . import __version__
 from .certificates import field_log_norm_bound, quadrature_certificate
 from .collocation import LmOptions, collocation_grid
-from .integrators import FineMethod, NewtonOptions, SolverError, serial_solve
+from .integrators import FineMethod, NewtonOptions, SolverError, serial_solve, step_count
 from .parareal import PararealConfig, PararealResult, TimeMesh, evaluate_piecewise, parareal_solve
-from .problems import (
-    BENCHMARK_NAMES,
-    default_initial_state,
-    make_benchmark,
-)
+from .problems import BENCHMARK_NAMES, OdeSystem, default_initial_state, make_benchmark
 from .rpnn import eval_network_many
 
 
@@ -110,90 +108,70 @@ _BENCH_DEFAULTS: dict[str, dict] = {
     },
 }
 
-_CONFIG_KEYS = {
-    "benchmark", "params", "initial_state", "burgers_ic", "t0", "t_end",
-    "mesh", "fine", "rpnn", "tol", "max_it", "repeats", "workers",
-    "out_dir", "certify", "trace", "dense_samples",
-}
+# Each mesh kind and the key holding its size.
+_MESH_SIZE_KEYS = {"uniform": "intervals", "blocks": "blocks"}
 
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings; `from_dict` fills every field from `benchmark_defaults`."""
+
     benchmark: str
     t_end: float
     mesh: dict
     fine: dict
-    params: dict = dc_field(default_factory=dict)
-    initial_state: list | None = None
-    burgers_ic: str = "sine"
-    t0: float = 0.0
-    rpnn: dict = dc_field(default_factory=lambda: {
-        "hidden": 5, "colloc": 5, "node_kind": "uniform",
-        "bounds": [-1.0, 1.0], "seed": None,
-    })
-    tol: float = 1e-4
-    max_it: int = 20
-    repeats: int = 1
-    workers: int = 1
-    out_dir: str = "runs"
-    certify: bool = False
-    trace: bool = False
-    dense_samples: int = 1000
+    params: dict
+    initial_state: list | None
+    burgers_ic: str
+    t0: float
+    rpnn: dict
+    tol: float
+    max_it: int
+    workers: int
+    out_dir: str
+    certify: bool
+    dense_samples: int
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(dataclasses.asdict(self)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Overlay `data` on the benchmark's defaults and validate the result.
+
+        The `mesh`, `fine` and `rpnn` objects are merged key by key.  Keys
+        the defaults do not name are rejected at both levels, except that a
+        mesh may switch kind and so take `intervals` or `blocks`.
+        """
         if "benchmark" not in data:
             raise ConfigError("config needs a 'benchmark' key")
-        benchmark = data["benchmark"]
-        if benchmark not in BENCHMARK_NAMES:
-            raise ConfigError(f"unknown benchmark {benchmark!r}")
+        merged = benchmark_defaults(data["benchmark"])
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = benchmark_defaults(benchmark)
         for key, value in data.items():
-            if key in ("fine", "rpnn", "mesh") and isinstance(value, dict):
-                merged[key] = {**merged[key], **value}
-            else:
-                merged[key] = value
-        cfg = cls(**merged)
-        cfg.validate()
-        return cfg
+            if isinstance(merged[key], dict) and not isinstance(value, dict):
+                raise ConfigError(f"{key!r} must be an object")
+            if key in ("mesh", "fine", "rpnn"):
+                allowed = set(merged[key])
+                if key == "mesh":
+                    allowed = {"kind", *_MESH_SIZE_KEYS.values()}
+                unknown = set(value) - allowed
+                if unknown:
+                    raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+                value = {**merged[key], **value}
+            merged[key] = value
+        config = cls(**merged)
+        build_solver(config)
+        return config
 
-    def validate(self) -> None:
-        if self.benchmark not in BENCHMARK_NAMES:
-            raise ConfigError(f"unknown benchmark {self.benchmark!r}")
-        if not (np.isfinite(self.t0) and np.isfinite(self.t_end) and self.t0 < self.t_end):
-            raise ConfigError("need finite t0 < t_end")
-        kind = self.mesh.get("kind")
-        if kind == "uniform":
-            if int(self.mesh.get("intervals", 0)) < 1:
-                raise ConfigError("uniform mesh needs intervals >= 1")
-        elif kind == "blocks":
-            blocks = self.mesh.get("blocks")
-            if not blocks:
-                raise ConfigError("block mesh needs a nonempty 'blocks' list")
-        else:
-            raise ConfigError(f"unknown mesh kind {kind!r}")
-        if self.fine.get("kind") not in ("rk4", "implicit-euler"):
-            raise ConfigError(f"unknown fine method {self.fine.get('kind')!r}")
-        if not float(self.fine.get("dt", 0)) > 0:
-            raise ConfigError("fine dt must be positive")
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
-        if self.max_it < 1 or self.repeats < 1 or self.workers < 1:
-            raise ConfigError("max_it, repeats and workers must be >= 1")
-        if self.dense_samples < 2:
-            raise ConfigError("dense_samples must be >= 2")
-        if self.initial_state is not None and not np.all(np.isfinite(self.initial_state)):
-            raise ConfigError("initial_state must be finite")
+
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def benchmark_defaults(name: str) -> dict:
-    if name not in _BENCH_DEFAULTS:
+    """Every config key with its default value for one benchmark."""
+    if name not in BENCHMARK_NAMES:
         raise ConfigError(f"unknown benchmark {name!r}")
     base = json.loads(json.dumps(_BENCH_DEFAULTS[name]))  # deep copy
     return {
@@ -210,46 +188,86 @@ def benchmark_defaults(name: str) -> dict:
                  "gauss_newton_floor": base["gauss_newton_floor"]},
         "tol": 1e-4,
         "max_it": base.get("max_it", 20),
-        "repeats": 1,
         "workers": 1,
         "out_dir": f"runs/{name}",
         "certify": False,
-        "trace": False,
         "dense_samples": 1000,
     }
 
 
-def _build_mesh(config: ExperimentConfig) -> TimeMesh:
-    if config.mesh["kind"] == "uniform":
-        return TimeMesh.uniform(config.t0, config.t_end, int(config.mesh["intervals"]))
-    blocks = [(float(a), float(b), int(n)) for a, b, n in config.mesh["blocks"]]
-    try:
-        return TimeMesh.from_blocks(blocks)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def build_solver(config: ExperimentConfig
+                 ) -> tuple[OdeSystem, np.ndarray, TimeMesh, PararealConfig]:
+    """Map a config to the system, initial state, mesh and solver settings.
 
-
-def _build_problem(config: ExperimentConfig):
+    The objects built check their own arguments; this adds the checks that
+    span several of them (fine-step divisibility, state length) or that no
+    object makes.  Any ValueError or TypeError becomes a ConfigError.  An
+    unpinned seed is drawn fresh here; nothing is sampled or solved.
+    """
     try:
         system = make_benchmark(config.benchmark, config.params or None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if config.initial_state is not None:
-        x0 = np.asarray(config.initial_state, dtype=float)
-        if x0.shape != (system.dim,):
-            raise ConfigError(
-                f"initial_state has length {len(x0)}, benchmark dimension is {system.dim}"
+        if config.initial_state is None:
+            x0 = default_initial_state(
+                config.benchmark,
+                {**config.params, "initial_condition": config.burgers_ic},
             )
-    else:
-        x0 = default_initial_state(
-            config.benchmark,
-            {**config.params, "initial_condition": config.burgers_ic},
+        else:
+            x0 = np.asarray(config.initial_state, dtype=float)
+            if x0.shape != (system.dim,):
+                raise ValueError(f"initial_state has shape {x0.shape}, "
+                                 f"benchmark dimension is {system.dim}")
+            if not np.all(np.isfinite(x0)):
+                raise ValueError("initial_state must be finite")
+
+        kind = config.mesh["kind"]
+        if kind not in _MESH_SIZE_KEYS:
+            raise ValueError(f"unknown mesh kind {kind!r}")
+        if _MESH_SIZE_KEYS[kind] not in config.mesh:
+            raise ValueError(f"{kind} mesh needs {_MESH_SIZE_KEYS[kind]!r}")
+        if kind == "uniform":
+            mesh = TimeMesh.uniform(config.t0, config.t_end, int(config.mesh["intervals"]))
+        else:
+            mesh = TimeMesh.from_blocks(
+                [(float(a), float(b), int(n)) for a, b, n in config.mesh["blocks"]])
+            span = (float(mesh.nodes[0]), float(mesh.nodes[-1]))
+            if span != (config.t0, config.t_end):
+                raise ValueError(f"mesh blocks span {list(span)}, "
+                                 f"not [t0, t_end] = {[config.t0, config.t_end]}")
+
+        fine = FineMethod(
+            kind=config.fine["kind"],
+            dt=float(config.fine["dt"]),
+            newton=NewtonOptions(tol=float(config.fine["newton_tol"]),
+                                 max_iter=int(config.fine["newton_max_iter"])),
         )
-    return system, x0
+        for length in mesh.lengths:
+            step_count(float(length), fine.dt)
+
+        rpnn = config.rpnn
+        seed = rpnn["seed"]
+        solver = PararealConfig(
+            fine=fine,
+            tol=config.tol,
+            max_it=config.max_it,
+            hidden=int(rpnn["hidden"]),
+            colloc=int(rpnn["colloc"]),
+            node_kind=rpnn["node_kind"],
+            weight_bounds=tuple(rpnn["bounds"]),
+            seed=int(np.random.SeedSequence().generate_state(1)[0]) if seed is None else int(seed),
+            workers=config.workers,
+            lm=LmOptions(floor_to_gauss_newton=bool(rpnn["gauss_newton_floor"])),
+        )
+        if not (isinstance(config.dense_samples, int) and config.dense_samples >= 2):
+            raise ValueError("dense_samples must be an integer >= 2")
+        if not isinstance(config.out_dir, str):
+            raise TypeError("out_dir must be a string")
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return system, x0, mesh, solver
 
 
 # ---------------------------------------------------------------------------
-# Comparison and timing helpers
+# Comparison
 # ---------------------------------------------------------------------------
 
 
@@ -272,13 +290,6 @@ def compare_with_serial(parareal_nodes: np.ndarray, serial_nodes: np.ndarray) ->
     euclid = np.linalg.norm(diff, axis=1)
     max_abs = np.max(np.abs(diff), axis=1)
     return ComparisonTable(euclid, max_abs, float(np.max(euclid)), float(np.max(max_abs)))
-
-
-def _stats(values: list[float]) -> dict:
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    return {"mean": mean, "min": min(values), "max": max(values),
-            "stddev": math.sqrt(var)}
 
 
 # ---------------------------------------------------------------------------
@@ -328,48 +339,19 @@ def _certificates(system, result: PararealResult, node_kind: str) -> list[dict]:
 
 
 def run_experiment(config: ExperimentConfig) -> RunArtifact:
-    """Solve `repeats` times, compare the first with the serial reference, write artifacts."""
-    system, x0 = _build_problem(config)
-    mesh = _build_mesh(config)
-    rpnn = config.rpnn
-    pinned = rpnn.get("seed") is not None
-    base_seed = int(rpnn["seed"]) if pinned else int(np.random.SeedSequence().generate_state(1)[0])
-    fine = FineMethod(
-        kind=config.fine["kind"],
-        dt=float(config.fine["dt"]),
-        newton=NewtonOptions(
-            tol=float(config.fine.get("newton_tol", 1e-12)),
-            max_iter=int(config.fine.get("newton_max_iter", 50)),
-        ),
-    )
-    pconfig = PararealConfig(
-        fine=fine,
-        tol=config.tol,
-        max_it=config.max_it,
-        hidden=int(rpnn.get("hidden", 5)),
-        colloc=int(rpnn.get("colloc", 5)),
-        node_kind=rpnn.get("node_kind", "uniform"),
-        weight_bounds=tuple(rpnn.get("bounds", (-1.0, 1.0))),
-        seed=base_seed,
-        record_trace=config.trace,
-        workers=config.workers,
-        lm=LmOptions(
-            floor_to_gauss_newton=bool(rpnn.get("gauss_newton_floor", False))
-        ),
-    )
-
+    """Solve once, compare with the serial reference, write artifacts."""
+    system, x0, mesh, pconfig = build_solver(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta: dict = {
         "config": config.to_dict(),
         "version": __version__,
-        "seed": base_seed,
-        "seed_pinned": pinned,
+        "seed": pconfig.seed,
+        "seed_pinned": config.rpnn["seed"] is not None,
         "state_labels": list(system.labels),
     }
 
     try:
-        # The artifact solve is also the first timed solve.
         result = parareal_solve(system, x0, mesh, pconfig)
     except SolverError as exc:
         meta["failure"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -378,32 +360,14 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         raise
 
     tic = time.perf_counter()
-    reference = serial_solve(system, x0, mesh, fine)
+    reference = serial_solve(system, x0, mesh, pconfig.fine)
     serial_time = time.perf_counter() - tic
     comparison = compare_with_serial(result.node_states, reference)
-
-    repeat_seeds = [base_seed]
-    solve_timings = [result.timings]
-    for r in range(1, config.repeats):
-        seed_r = base_seed if pinned else int(
-            np.random.SeedSequence((base_seed, 0xA11CE, r)).generate_state(1)[0]
-        )
-        repeat_seeds.append(seed_r)
-        cfg_r = dataclasses.replace(pconfig, seed=seed_r, record_trace=False)
-        solve_timings.append(parareal_solve(system, x0, mesh, cfg_r).timings)
-    phase_samples = {
-        key: [t[key] for t in solve_timings]
-        for key in ("zeroth_sweep", "fine_sweeps", "coarse_sweeps", "total")
-    }
-    coarse_step_means = [
-        float(np.mean(t["zeroth_train_per_interval"])) for t in solve_timings
-    ]
-
     timings = {
-        "repeats": config.repeats,
-        "phases": {key: _stats(values) for key, values in phase_samples.items()},
-        "avg_coarse_step_zeroth": _stats(coarse_step_means),
-        "total_average": _stats(phase_samples["total"])["mean"],
+        "phases": {key: result.timings[key]
+                   for key in ("zeroth_sweep", "fine_sweeps", "coarse_sweeps", "total")},
+        "avg_coarse_step_zeroth": float(np.mean(result.timings["zeroth_train_per_interval"])),
+        "total_average": result.timings["total"],
         "serial_reference": serial_time,
     }
 
@@ -436,7 +400,6 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         converged=result.converged,
         iterations=result.iterations,
         error_history=result.error_history,
-        repeat_seeds=repeat_seeds,
         bases=[
             {"interval": n, "dt": b.dt, "seed": b.seed, "cond": b.cond,
              "resamples": b.resamples}
@@ -481,12 +444,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int,
                         help="accepted for compatibility; has no effect, the fine "
                              "sweep runs in the calling thread")
-    parser.add_argument("--repeats", type=int,
-                        help="timed solves; the first also provides the artifacts")
     parser.add_argument("--certify", action="store_true",
                         help="attach per-interval error certificates to meta.json")
-    parser.add_argument("--trace", action="store_true",
-                        help="record per-iteration node arrays")
     parser.add_argument("--tol", type=float, help="stopping tolerance")
     parser.add_argument("--max-it", type=int, help="iteration cap")
     return parser
@@ -508,16 +467,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         data["benchmark"] = args.benchmark
     if args.out is not None:
         data["out_dir"] = args.out
-    if args.seed is not None:
-        data.setdefault("rpnn", {})["seed"] = args.seed
+    if args.seed is not None and isinstance(data.get("rpnn", {}), dict):
+        data["rpnn"] = {**data.get("rpnn", {}), "seed": args.seed}  # else from_dict rejects it
     if args.workers is not None:
         data["workers"] = args.workers
-    if args.repeats is not None:
-        data["repeats"] = args.repeats
     if args.certify:
         data["certify"] = True
-    if args.trace:
-        data["trace"] = True
     if args.tol is not None:
         data["tol"] = args.tol
     if args.max_it is not None:
@@ -529,10 +484,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         artifact = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

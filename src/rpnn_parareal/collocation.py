@@ -410,7 +410,6 @@ def levenberg_marquardt(
             jac = jacobian_fn(theta)
             dense = isinstance(jac, np.ndarray)
             if dense:
-                g = jac.T @ _vec(r)
                 diag = np.einsum("ij,ij->j", jac, jac)
             else:
                 # matrix-shaped unknowns throughout the operator path
@@ -428,7 +427,7 @@ def levenberg_marquardt(
                     # the damping is dropped entirely (Gauss-Newton step via
                     # a rank-revealing solve), as floored damping would keep
                     # suppressing small-singular-value directions forever.
-                    n_unknowns = len(g)
+                    n_unknowns = jac.shape[1]
                     if opts.floor_to_gauss_newton and lam <= _LAMBDA_MIN:
                         delta = np.linalg.lstsq(jac, -_vec(r), rcond=None)[0]
                     else:

@@ -19,13 +19,14 @@ hold bitwise.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
 
-from .collocation import LmOptions, TrainReport, TrainingError, train_coarse
+from .collocation import LmOptions, TrainReport, TrainingError, collocation_nodes, train_coarse
 from .integrators import FineMethod, SolverError, fine_propagate, step_count
 from .problems import OdeSystem
 from .rpnn import RpnnBasis, eval_network, sample_basis
@@ -41,6 +42,8 @@ class TimeMesh:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("mesh needs at least two node times")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("mesh nodes must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
@@ -103,6 +106,14 @@ class PararealConfig:
             raise ValueError("max_it must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not self.hidden == self.colloc >= 1:
+            raise ValueError("this ansatz requires hidden == colloc >= 1")
+        collocation_nodes(self.node_kind, self.colloc, 1.0)  # rejects a kind it cannot place
+        lo, hi = self.weight_bounds
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"invalid weight bounds {self.weight_bounds!r}")
 
 
 @dataclass
@@ -243,14 +254,11 @@ def parareal_solve(
     x0: np.ndarray,
     mesh: TimeMesh,
     config: PararealConfig,
-    _freeze_coarse: bool = False,
 ) -> PararealResult:
     """Run the hybrid Parareal iteration to tolerance or the iteration cap.
 
     The fine sweep of iteration i consumes only iterate i-1's nodes, never
     in-flight values, preserving the parallel structure of the algorithm.
-    `_freeze_coarse` is a test hook that pins the coarse values, reducing one
-    iteration to a pure fine sweep.
     """
     x0 = np.asarray(x0, dtype=float)
     lengths = mesh.lengths
@@ -290,23 +298,17 @@ def parareal_solve(
         new_nodes[0] = x0
         iteration_reports: list[TrainReport] = []
         for n in range(n_int):
-            if _freeze_coarse:
-                coarse = coarse_cache[n + 1]
-                report = None
-            else:
-                coarse, report = trainer.train_and_step(n, new_nodes[n], iteration=i)
+            coarse, report = trainer.train_and_step(n, new_nodes[n], iteration=i)
             new_nodes[n + 1] = correction_step(fine_values[n], coarse,
                                                coarse_cache[n + 1])
             coarse_cache[n + 1] = coarse
-            if report is not None:
-                iteration_reports.append(report)
+            iteration_reports.append(report)
         error = stopping_error(new_nodes, prev_nodes)
         coarse_time += time.perf_counter() - tic
 
         prev_nodes = new_nodes
         error_history.append(error)
-        if iteration_reports:
-            train_reports.append(iteration_reports)
+        train_reports.append(iteration_reports)
         if trace is not None:
             trace.append(prev_nodes.copy())
         i += 1

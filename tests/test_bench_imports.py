@@ -1,13 +1,18 @@
-"""The package names the benchmark scripts under bench/ rely on still exist.
+"""The package names and configs the benchmark scripts under bench/ rely on still work.
 
-The benchmark imports names from the package and swaps module attributes at
-its patch sites; a rename or removal here would only show when the benchmark
-runs.  The scripts are parsed, not imported.
+The benchmark imports names from the package, swaps module attributes at its
+patch sites and builds its workloads from CLI configs; a rename, a removal or
+a stricter config check here would only show when the benchmark runs.  The
+scripts are parsed, except ``workloads.py``, whose ``build`` is called.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
+
+from rpnn_parareal.cli import build_solver
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -55,3 +60,17 @@ def test_bench_patch_sites_resolve():
         if found is None or found is not named:
             wrong.append(f"rpnn_parareal.{module}.{attr} ({span})")
     assert not wrong
+
+
+def test_bench_workloads_build(tmp_path, monkeypatch):
+    """Each workload config passes the CLI's checks, and the benchmark's
+    solver settings equal the ones the CLI builds from it."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    monkeypatch.setattr(sys, "path", [*sys.path])  # build() prepends src/
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name in workloads.WORKLOADS:
+        workload = workloads.build(name, tmp_path / name)
+        assert workload.solver == build_solver(workload.config)[3], name

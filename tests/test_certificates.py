@@ -1,9 +1,12 @@
 """A-posteriori certificates: defect, log norms, and bound validity."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rpnn_parareal import (
+    SolverError,
     defect,
     defect_error_bound,
     field_log_norm_bound,
@@ -17,7 +20,7 @@ from rpnn_parareal import (
 )
 from rpnn_parareal.rpnn import eval_network_many
 
-from conftest import linear_system, zero_system
+from conftest import constant_system, linear_system, zero_system
 
 
 def test_defect_zero_field_zero_weights():
@@ -47,6 +50,13 @@ def test_defect_finite_between_nodes():
     values = [np.linalg.norm(defect(basis, theta, x0, system, t))
               for t in np.linspace(0, 0.5, 100)]
     assert np.all(np.isfinite(values))
+
+
+def test_nonfinite_defect_is_a_solver_error():
+    basis = sample_basis(5, 5, 1.0, seed=0)
+    system = constant_system(np.array([np.nan]))
+    with pytest.raises(SolverError):
+        defect(basis, np.zeros((5, 1)), np.zeros(1), system, 0.5)
 
 
 def test_log_norm_identity_and_skew():
@@ -128,6 +138,12 @@ def test_sensitivity_bound_values():
     assert sensitivity_bound(0.0, 5.0) == 1.0
     assert sensitivity_bound(-1.0, 1.0) == pytest.approx(1.0 / np.e, rel=1e-14)
     assert sensitivity_bound(2.0, 0.5) == pytest.approx(np.e, rel=1e-14)
+
+
+def test_sensitivity_bound_is_inf_past_float_range():
+    assert math.isfinite(sensitivity_bound(709.0, 1.0))
+    assert sensitivity_bound(710.0, 1.0) == math.inf
+    assert sensitivity_bound(5061.0, 1.0) == math.inf
 
 
 def test_sensitivity_matches_linear_flow_derivative():

@@ -19,6 +19,7 @@ from rpnn_parareal import (
     stopping_error,
     zeroth_iterate,
 )
+from rpnn_parareal.parareal import _CoarseTrainer
 
 from conftest import linear_system, zero_system
 
@@ -35,6 +36,8 @@ def test_mesh_validation():
         TimeMesh(np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         TimeMesh.from_blocks([(0.0, 1.0, 2), (2.0, 3.0, 2)])
+    with pytest.raises(ValueError):
+        TimeMesh(np.array([0.0, np.nan]))
 
 
 def test_mesh_builders():
@@ -92,6 +95,19 @@ def test_stopping_error_cases():
 
 def _config(dt, **kwargs):
     return PararealConfig(fine=FineMethod("rk4", dt), **kwargs)
+
+
+@pytest.mark.parametrize("basis", [
+    {"hidden": 4},
+    {"node_kind": "gauss"},
+    {"weight_bounds": (1.0, -1.0)},
+    {"weight_bounds": (-np.inf, 1.0)},
+    {"seed": -1},
+], ids=["hidden-not-colloc", "unknown-node-kind", "reversed-bounds", "infinite-bound",
+        "negative-seed"])
+def test_config_rejects_bad_basis_settings(basis):
+    with pytest.raises(ValueError):
+        _config(1e-2, **basis)
 
 
 def test_zeroth_iterate_zero_field():
@@ -165,12 +181,21 @@ def test_initial_node_is_pinned_bitwise():
         assert np.array_equal(iterate[0], x0)
 
 
-def test_frozen_coarse_reduces_to_fine_sweep():
+def test_frozen_coarse_reduces_to_fine_sweep(monkeypatch):
+    train_and_step = _CoarseTrainer.train_and_step
+
+    def frozen(self, n, x, iteration, warm_from_previous_interval=False):
+        # After the zeroth sweep, every coarse value stays the one it produced.
+        if iteration > 0:
+            return self._last_coarse[n], self._last_report[n]
+        return train_and_step(self, n, x, iteration, warm_from_previous_interval)
+
+    monkeypatch.setattr(_CoarseTrainer, "train_and_step", frozen)
     system = make_benchmark("sir")
     x0 = np.array([0.3, 0.5, 0.2])
     mesh = TimeMesh.uniform(0.0, 5.0, 5)
     config = _config(1e-2, seed=6, max_it=2, tol=1e-300, record_trace=True)
-    result = parareal_solve(system, x0, mesh, config, _freeze_coarse=True)
+    result = parareal_solve(system, x0, mesh, config)
     zeroth = result.trace[0]
     after = result.trace[1]
     for n in range(5):
