@@ -21,6 +21,9 @@ significant digits so parsing reproduces the in-memory values bitwise):
 * ``meta.json``      config echo, seeds, basis conditioning, train reports,
   certificates (with ``--certify``), comparison maxima
 
+Both JSON files are strict JSON: a non-finite number (a vacuous certificate
+bound, say) is written as ``null``.
+
 Exit codes: 0 success, 2 config error (nothing is written), 3 iteration cap
 hit without meeting the tolerance, 4 numerical failure.
 """
@@ -31,6 +34,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -316,6 +320,22 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_json(path: Path, data: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(_finite_or_null(data), handle, indent=2, allow_nan=False)
+
+
+def _finite_or_null(value):
+    """`value` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _state_rows(times: np.ndarray, states: np.ndarray, scale_x2: bool):
     for t, state in zip(times, states):
         row = [t, *state]
@@ -355,8 +375,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         result = parareal_solve(system, x0, mesh, pconfig)
     except SolverError as exc:
         meta["failure"] = {"type": type(exc).__name__, "message": str(exc)}
-        with open(out_dir / "meta.json", "w") as handle:
-            json.dump(meta, handle, indent=2)
+        _write_json(out_dir / "meta.json", meta)
         raise
 
     tic = time.perf_counter()
@@ -419,10 +438,8 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     )
     if config.certify:
         meta["certificates"] = _certificates(system, result, pconfig.node_kind)
-    with open(files["timings"], "w") as handle:
-        json.dump(timings, handle, indent=2)
-    with open(files["meta"], "w") as handle:
-        json.dump(meta, handle, indent=2)
+    _write_json(files["timings"], timings)
+    _write_json(files["meta"], meta)
     return RunArtifact(out_dir, result, reference, comparison, timings, meta, files)
 
 

@@ -24,7 +24,13 @@ ARENSTORF_V2_0 = -2.00158510637908252240537862224
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """Autonomous first-order system x' = F(x) with exact Jacobian DF."""
+    """Autonomous first-order system x' = F(x) with exact Jacobian DF.
+
+    `field` and `jacobian` receive one state as a 1-D float array of length
+    `dim`; the package's small closed-form systems unpack it with `tolist()`
+    and compute on Python floats, which is faster than numpy scalar
+    arithmetic at this size and rounds every operation the same way.
+    """
 
     dim: int
     field: Callable[[Vector], Vector]
@@ -69,15 +75,17 @@ class BurgersDiscretization:
 
 def _sir(beta: float, gamma: float) -> OdeSystem:
     def fun(x):
-        infection = beta * x[0] * x[1]
-        recovery = gamma * x[1]
+        s, i, _ = x.tolist()
+        infection = beta * s * i
+        recovery = gamma * i
         return np.array([-infection, infection - recovery, recovery])
 
     def jac(x):
+        s, i, _ = x.tolist()
         return np.array(
             [
-                [-beta * x[1], -beta * x[0], 0.0],
-                [beta * x[1], beta * x[0] - gamma, 0.0],
+                [-beta * i, -beta * s, 0.0],
+                [beta * i, beta * s - gamma, 0.0],
                 [0.0, gamma, 0.0],
             ]
         )
@@ -87,17 +95,19 @@ def _sir(beta: float, gamma: float) -> OdeSystem:
 
 def _rober(k1: float, k2: float, k3: float) -> OdeSystem:
     def fun(x):
-        r1 = k1 * x[0]
-        r2 = k2 * x[1] * x[1]
-        r3 = k3 * x[1] * x[2]
+        y1, y2, y3 = x.tolist()
+        r1 = k1 * y1
+        r2 = k2 * y2 * y2
+        r3 = k3 * y2 * y3
         return np.array([-r1 + r3, r1 - r2 - r3, r2])
 
     def jac(x):
+        _, y2, y3 = x.tolist()
         return np.array(
             [
-                [-k1, k3 * x[2], k3 * x[1]],
-                [k1, -2.0 * k2 * x[1] - k3 * x[2], -k3 * x[1]],
-                [0.0, 2.0 * k2 * x[1], 0.0],
+                [-k1, k3 * y3, k3 * y2],
+                [k1, -2.0 * k2 * y2 - k3 * y3, -k3 * y2],
+                [0.0, 2.0 * k2 * y2, 0.0],
             ]
         )
 
@@ -106,24 +116,44 @@ def _rober(k1: float, k2: float, k3: float) -> OdeSystem:
 
 def _lorenz(sigma: float, r: float, b: float) -> OdeSystem:
     def fun(x):
+        x1, x2, x3 = x.tolist()
         return np.array(
             [
-                sigma * (x[1] - x[0]),
-                -x[0] * x[2] + r * x[0] - x[1],
-                x[0] * x[1] - b * x[2],
+                sigma * (x2 - x1),
+                -x1 * x3 + r * x1 - x2,
+                x1 * x2 - b * x3,
             ]
         )
 
     def jac(x):
+        x1, x2, x3 = x.tolist()
         return np.array(
             [
                 [-sigma, sigma, 0.0],
-                [r - x[2], -1.0, -x[0]],
-                [x[1], x[0], -b],
+                [r - x3, -1.0, -x1],
+                [x2, x1, -b],
             ]
         )
 
     return OdeSystem(3, fun, jac, "lorenz", {"sigma": sigma, "r": r, "b": b})
+
+
+def _on_floats(terms: Callable[..., list]) -> Callable[[Vector], np.ndarray]:
+    """`terms(*x)` as an array, evaluated on Python floats.
+
+    Python floats raise where numpy returns inf or nan (a division by zero,
+    an overflowing power); there `terms` runs again on numpy scalars, so the
+    non-finite value reaches the caller's finiteness check.  Both evaluations
+    round every operation the same way, so the values are bitwise equal.
+    """
+
+    def evaluate(x):
+        try:
+            return np.array(terms(*x.tolist()))
+        except (ZeroDivisionError, OverflowError):
+            return np.array(terms(*x))
+
+    return evaluate
 
 
 def _arenstorf(a: float) -> OdeSystem:
@@ -131,23 +161,19 @@ def _arenstorf(a: float) -> OdeSystem:
     # with mass ratio a and b = 1 - a.
     b = 1.0 - a
 
-    def fun(x):
-        x1, x2, v1, v2 = x
+    def field_terms(x1, x2, v1, v2):
         r1sq = (x1 + a) ** 2 + x2**2
         r2sq = (x1 - b) ** 2 + x2**2
         d1 = r1sq**1.5
         d2 = r2sq**1.5
-        return np.array(
-            [
-                v1,
-                v2,
-                x1 + 2.0 * v2 - b * (x1 + a) / d1 - a * (x1 - b) / d2,
-                x2 - 2.0 * v1 - b * x2 / d1 - a * x2 / d2,
-            ]
-        )
+        return [
+            v1,
+            v2,
+            x1 + 2.0 * v2 - b * (x1 + a) / d1 - a * (x1 - b) / d2,
+            x2 - 2.0 * v1 - b * x2 / d1 - a * x2 / d2,
+        ]
 
-    def jac(x):
-        x1, x2, _, _ = x
+    def jac_terms(x1, x2, v1, v2):
         p = x1 + a
         q = x1 - b
         r1sq = p * p + x2 * x2
@@ -164,32 +190,35 @@ def _arenstorf(a: float) -> OdeSystem:
         db_dx2 = 1.0 - b * (inv_d1 - 3.0 * x2 * x2 * inv_d1_5) - a * (
             inv_d2 - 3.0 * x2 * x2 * inv_d2_5
         )
-        return np.array(
-            [
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-                [da_dx1, da_dx2, 0.0, 2.0],
-                [db_dx1, db_dx2, -2.0, 0.0],
-            ]
-        )
+        return [
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [da_dx1, da_dx2, 0.0, 2.0],
+            [db_dx1, db_dx2, -2.0, 0.0],
+        ]
 
     return OdeSystem(
-        4, fun, jac, "arenstorf", {"a": a, "b": b}, labels=("x1", "x2", "v1", "v2")
+        4,
+        _on_floats(field_terms),
+        _on_floats(jac_terms),
+        "arenstorf",
+        {"a": a, "b": b},
+        labels=("x1", "x2", "v1", "v2"),
     )
 
 
 def _brusselator(a: float, b: float) -> OdeSystem:
     def fun(x):
-        x1sq_x2 = x[0] * x[0] * x[1]
-        return np.array(
-            [a + x1sq_x2 - (b + 1.0) * x[0], b * x[0] - x1sq_x2]
-        )
+        x1, x2 = x.tolist()
+        x1sq_x2 = x1 * x1 * x2
+        return np.array([a + x1sq_x2 - (b + 1.0) * x1, b * x1 - x1sq_x2])
 
     def jac(x):
+        x1, x2 = x.tolist()
         return np.array(
             [
-                [2.0 * x[0] * x[1] - (b + 1.0), x[0] * x[0]],
-                [b - 2.0 * x[0] * x[1], -x[0] * x[0]],
+                [2.0 * x1 * x2 - (b + 1.0), x1 * x1],
+                [b - 2.0 * x1 * x2, -x1 * x1],
             ]
         )
 

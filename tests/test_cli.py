@@ -1,11 +1,13 @@
 """Experiment runner: config round-trips, artifacts, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from rpnn_parareal import cli, make_benchmark
 from rpnn_parareal.cli import (
     ComparisonTable,
     ConfigError,
@@ -141,6 +143,44 @@ def test_certify_attaches_certificates(tmp_path):
     assert len(certs) == 2
     for cert in certs:
         assert cert["total"] >= cert["eps_term"] >= 0.0
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_nonfinite_certificate_is_written_as_null(tmp_path, monkeypatch):
+    certificate = cli.quadrature_certificate
+
+    def vacuous(*args, **kwargs):
+        cert = certificate(*args, **kwargs)
+        return dataclasses.replace(cert, delta=float("inf"), total=float("inf"))
+
+    monkeypatch.setattr(cli, "quadrature_certificate", vacuous)
+    artifact = run_experiment(_tiny_sir_config(tmp_path, certify=True))
+    meta = json.loads((tmp_path / "meta.json").read_text(), parse_constant=_reject_constant)
+    json.loads((tmp_path / "timings.json").read_text(), parse_constant=_reject_constant)
+    for cert in meta["certificates"]:
+        assert cert["delta"] is None and cert["total"] is None
+        assert cert["eps_term"] >= 0.0
+    assert artifact.meta["certificates"][0]["total"] == float("inf")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_main_exits_4_from_arenstorf_primary(tmp_path):
+    a = make_benchmark("arenstorf").params["a"]
+    out = tmp_path / "primary"
+    config = tmp_path / "primary.json"
+    config.write_text(json.dumps({
+        "benchmark": "arenstorf",
+        "t_end": 0.272,
+        "mesh": {"kind": "uniform", "intervals": 2},
+        "initial_state": [-a, 0.0, 0.0, 0.0],
+        "out_dir": str(out),
+    }))
+    assert main(["--config", str(config), "--seed", "0"]) == 4
+    meta = json.loads((out / "meta.json").read_text(), parse_constant=_reject_constant)
+    assert "failure" in meta
 
 
 def test_compare_with_serial():

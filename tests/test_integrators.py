@@ -16,8 +16,9 @@ from rpnn_parareal import (
     rk4_step,
     serial_solve,
 )
+from rpnn_parareal.problems import default_initial_state
 
-from conftest import linear_system, zero_system
+from conftest import constant_system, linear_system, zero_system
 
 
 def test_rk4_matches_taylor_polynomial():
@@ -55,12 +56,42 @@ def test_rk4_rejects_nonpositive_step():
         rk4_step(linear_system(1.0), np.array([1.0]), 0.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_rk4_overflow_reports_stage():
-    system = OdeSystem(1, lambda x: x * x, lambda x: np.diag(2 * x), "sq")
+# With h = 1, x' = lam x at x = 1 has stages of size lam, lam**2 / 2,
+# lam**3 / 4 and lam**4 / 4, so lam picks the first stage that overflows.
+# A constant field near the float maximum keeps every stage finite and
+# overflows only in the update (stage 5).
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "system, x0, stage",
+    [
+        pytest.param(OdeSystem(1, lambda x: x * x, lambda x: np.diag(2 * x), "sq"),
+                     1e200, 1, id="stage1"),
+        pytest.param(linear_system(1e200), 1.0, 2, id="stage2"),
+        pytest.param(linear_system(1e150), 1.0, 3, id="stage3"),
+        pytest.param(linear_system(1e100), 1.0, 4, id="stage4"),
+        pytest.param(constant_system([1e308]), 0.0, 5, id="stage5"),
+    ],
+)
+def test_rk4_overflow_reports_stage(system, x0, stage):
     with pytest.raises(StepFailure) as info:
-        rk4_step(system, np.array([1e200]), 1.0)
-    assert info.value.stage == 1
+        rk4_step(system, np.array([x0]), 1.0)
+    assert info.value.stage == stage
+
+
+@pytest.mark.parametrize("name", ["arenstorf", "lorenz"])
+def test_rk4_step_equals_textbook_update_bitwise(name):
+    system = make_benchmark(name)
+    x = default_initial_state(name)
+    h = 1e-3
+    for _ in range(20):
+        k1 = system.field(x)
+        k2 = system.field(x + 0.5 * h * k1)
+        k3 = system.field(x + 0.5 * h * k2)
+        k4 = system.field(x + h * k3)
+        expected = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = rk4_step(system, x, h)
+        assert np.array_equal(got, expected)
+        x = got
 
 
 def test_implicit_euler_scalar_decay_closed_form():

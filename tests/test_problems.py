@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from rpnn_parareal import OdeSystem, burgers_semidiscretize, make_benchmark
+from rpnn_parareal import (
+    OdeSystem,
+    StepFailure,
+    burgers_semidiscretize,
+    make_benchmark,
+    rk4_step,
+)
 from rpnn_parareal.problems import (
     ARENSTORF_V2_0,
     BENCHMARK_NAMES,
@@ -80,6 +86,38 @@ def test_arenstorf_state_ordering_and_velocity_literal():
     # first-order form: first two components are the velocities
     f = system.field(x0)
     assert f[0] == x0[2] and f[1] == x0[3]
+
+
+# At the primary (x1 = -a, x2 = 0) the distance r1 is 0; at x2 = 1e-150 it
+# is so small that r1**1.5 underflows to 0 and r1**-1.5 overflows.  Python
+# floats raise on both; the field and Jacobian must give numpy's inf/nan
+# instead, so the step fails as a StepFailure.
+_ARENSTORF_A = make_benchmark("arenstorf").params["a"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "state",
+    [[-_ARENSTORF_A, 0.0, 0.0, 0.0], [-_ARENSTORF_A, 1e-150, 0.0, 0.0]],
+    ids=["primary", "near-primary"],
+)
+def test_arenstorf_singular_states_fail_as_step_failure(state):
+    system = make_benchmark("arenstorf")
+    x = np.array(state)
+    assert not np.all(np.isfinite(system.field(x)))
+    assert not np.all(np.isfinite(system.jacobian(x)))
+    with pytest.raises(StepFailure):
+        rk4_step(system, x, 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_arenstorf_far_state_where_r_cubed_overflows():
+    # r1**1.5 and r2**1.5 overflow to inf, so both attraction terms vanish
+    system = make_benchmark("arenstorf")
+    x = np.array([1e110, 0.0, 3.0, -2.0])
+    assert np.array_equal(system.field(x), [3.0, -2.0, 1e110 - 4.0, -6.0])
+    expected_jac = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 2], [0, 1, -2, 0]]
+    assert np.array_equal(system.jacobian(x), expected_jac)
 
 
 def test_make_benchmark_rejects_bad_input():
