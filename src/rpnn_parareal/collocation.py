@@ -5,14 +5,17 @@ by driving the collocation residual
 
     G(theta) = Hp @ theta - F(1_C x0^T + (H - H0) @ theta)
 
-to zero in the least-squares sense with a Levenberg-Marquardt iteration.  The
-Jacobian of vec(G) with respect to vec(theta) (column stacking) is
+to zero with a Levenberg-Marquardt iteration.  The Jacobian of vec(G) with
+respect to vec(theta) (column stacking) is
 
     I_d (x) Hp - dvecF/dvecX . (I_d (x) (H - H0)),
 
-assembled densely for the small benchmarks and applied matrix-free for the
-semi-discretized Burgers system, where the field's structure makes both the
-operator and its transpose cheap.
+square when there are as many hidden units as collocation nodes.  The trainer
+has two modes.  The exact fit solves G = 0 by Newton's method, damping only
+after a rejected step, and uses the dense Jacobian for every system.  The
+regularized fit keeps Marquardt damping on throughout, so that a stiff
+transient the ansatz cannot resolve still gets weights of moderate size; for
+the semi-discretized Burgers system it applies the Jacobian matrix-free.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ _MARQUARDT_DIAG_FLOOR = 1e-14
 # Levenberg-Marquardt stopping rules and damping schedule.
 _RESIDUAL_TOL = 1e-10
 _STEP_TOL = 1e-12
+# Relative stopping tests of the exact fit on an accepted step, after MINPACK
+# (More 1978): ftol on its cost decrease against the previous cost, xtol on
+# its norm against xtol + ||theta||.
+_FTOL = 1e-10
+_XTOL = 1e-12
 _LAMBDA_INIT = 1e-3
 _LAMBDA_INCREASE = 10.0
 _LAMBDA_DECREASE = 10.0
@@ -192,9 +200,14 @@ def residual_jacobian(
     for c in range(c_count):
         jacs[c] = system.jacobian(states[c])
     # Axes (j, c, k, h): rows of vec(G) are (j, c), columns of vec(theta) (k, h).
-    eye = np.eye(d)[:, np.newaxis, :, np.newaxis]
-    dfs = jacs.transpose(1, 0, 2)[:, :, :, np.newaxis]
-    blocks = eye * hp[:, np.newaxis, :] - dfs * hm[:, np.newaxis, :]
+    # Built in one (C*d, H*d) buffer; entry by entry this is
+    # delta_jk * Hp - DF * Hm, with 0 * Hp off the diagonal blocks, so that
+    # even the signs of zeros match that expression.
+    idx = np.arange(d)
+    blocks = jacs.transpose(1, 0, 2)[:, :, :, np.newaxis] * hm[:, np.newaxis, :]
+    diagonal_blocks = hp - blocks[idx, :, idx, :]
+    np.subtract(0.0 * hp[:, np.newaxis, :], blocks, out=blocks)
+    blocks[idx, :, idx, :] = diagonal_blocks
     return blocks.reshape(d * c_count, d * h_count)
 
 
@@ -290,13 +303,14 @@ class BurgersJacobianOperator:
 
 @dataclass(frozen=True)
 class LmOptions:
-    """Iteration cap and the floor-step mode of the Levenberg-Marquardt trainer.
+    """Iteration cap and fit mode of the Levenberg-Marquardt trainer.
 
-    With `floor_to_gauss_newton` (the default), a step whose damping has hit
-    its floor is computed without damping, via a rank-revealing solve: a
-    floored Marquardt term would suppress small-singular-value directions
-    indefinitely.  Callers fitting under-resolved stiff transients should
-    turn it off so the fit stays regularized.
+    With `floor_to_gauss_newton` (the default) the trainer makes an exact fit:
+    Newton's method on the residual, damped only after a rejected step, with
+    the relative stopping tests ftol and xtol.  Turned off, it makes a
+    regularized fit: damping starts at 1e-3 and never drops below 1e-12, so
+    the weights stay moderate where the ansatz cannot resolve a stiff
+    transient.
     """
 
     max_iter: int = 100
@@ -372,23 +386,50 @@ def _conjugate_gradient(
     return x
 
 
+def _raise_damping(lam: float) -> float:
+    return min(lam * _LAMBDA_INCREASE, _LAMBDA_MAX) if lam else _LAMBDA_INIT
+
+
+def _undamped_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Newton step: an LU solve when J is square and nonsingular, else the
+    minimum-norm least-squares step."""
+    if jac.shape[0] == jac.shape[1]:
+        try:
+            return np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(jac, rhs, rcond=None)[0]
+
+
 def levenberg_marquardt(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     jacobian_fn: Callable[[np.ndarray], np.ndarray | BurgersJacobianOperator],
     theta_init: np.ndarray,
     opts: LmOptions | None = None,
 ) -> tuple[np.ndarray, TrainReport]:
-    """Classic Levenberg-Marquardt on vec(theta).
+    """Levenberg-Marquardt on vec(theta), in the fit mode `opts` selects.
 
-    Solves (J^T J + lam * diag(J^T J)) delta = -J^T r each iteration, falling
-    back to identity scaling when the Marquardt diagonal degenerates.  Steps
-    are accepted only if the cost strictly decreases; lam shrinks on
-    acceptance and grows on rejection.  The Jacobian may be a dense array or
-    a matrix-free operator (matvec_mat/rmatvec_mat/diag_jtj_mat), in which
-    case the damped normal equations are solved by preconditioned conjugate
-    gradients.
+    A damped step solves (J^T J + lam * diag(J^T J)) delta = -J^T r, with
+    identity scaling when the Marquardt diagonal degenerates.  Steps are
+    accepted only if the cost strictly decreases; lam shrinks on acceptance
+    and grows on rejection.
+
+    The exact fit starts at lam = 0, where the step is the undamped Newton
+    step `_undamped_step`.  A rejection sets lam to 1e-3 and each further one
+    multiplies it by 10; an accepted step divides it by 10, back to 0 below
+    1e-12.  The regularized fit starts at lam = 1e-3 and floors it at 1e-12.
+
+    Terminations: "residual_tol" (||r|| <= 1e-10), "step_tol"
+    (||delta|| <= 1e-12), "max_iter", and in the exact fit also, after an
+    accepted step, "ftol" (it lowered the cost by at most 1e-10 of it) and
+    "xtol" (||delta|| <= 1e-12 (1e-12 + ||theta||)).
+
+    The Jacobian may be a dense array or a matrix-free operator
+    (matvec_mat/rmatvec_mat/diag_jtj_mat), in which case the normal equations
+    are solved by preconditioned conjugate gradients.
     """
     opts = opts or LmOptions()
+    exact = opts.floor_to_gauss_newton
     theta = np.array(theta_init, dtype=float)
     shape = theta.shape
     r = residual_fn(theta)
@@ -398,13 +439,13 @@ def levenberg_marquardt(
     if res_norm <= _RESIDUAL_TOL:
         return theta, TrainReport(0, cost, _max_row_norm(r), 0, 0, "residual_tol",
                                   tuple(cost_history))
-    lam = _LAMBDA_INIT
+    lam = 0.0 if exact else _LAMBDA_INIT
     iterations = accepted = rejected = 0
-    reason = "max_iter"
+    reason = None
     need_jacobian = True
     jac = g = diag = None
     dense = True
-    while iterations < opts.max_iter:
+    while reason is None and iterations < opts.max_iter:
         iterations += 1
         if need_jacobian:
             jac = jacobian_fn(theta)
@@ -420,21 +461,7 @@ def levenberg_marquardt(
             need_jacobian = False
         while True:
             try:
-                if dense:
-                    # Same damped normal equations, solved as the augmented
-                    # least-squares system [J; sqrt(lam*diag)] to avoid
-                    # squaring the conditioning of J.  Once lam has floored,
-                    # the damping is dropped entirely (Gauss-Newton step via
-                    # a rank-revealing solve), as floored damping would keep
-                    # suppressing small-singular-value directions forever.
-                    n_unknowns = jac.shape[1]
-                    if opts.floor_to_gauss_newton and lam <= _LAMBDA_MIN:
-                        delta = np.linalg.lstsq(jac, -_vec(r), rcond=None)[0]
-                    else:
-                        augmented = np.vstack([jac, np.diag(np.sqrt(lam * diag))])
-                        rhs = np.concatenate([-_vec(r), np.zeros(n_unknowns)])
-                        delta = np.linalg.lstsq(augmented, rhs, rcond=None)[0]
-                else:
+                if not dense:
                     preconditioner = jac.make_preconditioner_mat(lam, diag)
                     delta = _conjugate_gradient(
                         lambda v: jac.rmatvec_mat(jac.matvec_mat(v)) + lam * (diag * v),
@@ -443,13 +470,28 @@ def levenberg_marquardt(
                         _CG_MAX_ITER_FACTOR * g.size,
                         apply_m=preconditioner,
                     )
+                elif lam == 0.0:
+                    delta = _undamped_step(jac, -_vec(r))
+                elif exact:
+                    # The damped normal equations, assembled in one buffer.
+                    normal = jac.T @ jac
+                    normal.flat[:: normal.shape[0] + 1] += lam * diag
+                    delta = np.linalg.solve(normal, jac.T @ -_vec(r))
+                else:
+                    # The same damped normal equations, solved as the
+                    # augmented least-squares system [J; sqrt(lam*diag)] to
+                    # avoid squaring the conditioning of J.
+                    n_unknowns = jac.shape[1]
+                    augmented = np.vstack([jac, np.diag(np.sqrt(lam * diag))])
+                    rhs = np.concatenate([-_vec(r), np.zeros(n_unknowns)])
+                    delta = np.linalg.lstsq(augmented, rhs, rcond=None)[0]
                 break
             except np.linalg.LinAlgError as exc:
                 if lam >= _LAMBDA_MAX:
                     raise TrainingError(
                         f"linear solve failed after damping escalation to {lam:.1e}"
                     ) from exc
-                lam = min(lam * _LAMBDA_INCREASE, _LAMBDA_MAX)
+                lam = _raise_damping(lam)
         if dense and theta.ndim == 2:
             theta_try = theta + _unvec(delta, shape)
         else:
@@ -458,25 +500,31 @@ def levenberg_marquardt(
         cost_try = float(np.sum(r_try * r_try))
         step_norm = float(np.linalg.norm(delta))
         if cost_try < cost:
+            ftol_hit = exact and cost - cost_try <= _FTOL * cost
+            xtol_hit = exact and step_norm <= _XTOL * (_XTOL + float(np.linalg.norm(theta)))
             theta, r, cost = theta_try, r_try, cost_try
             accepted += 1
             need_jacobian = True
             cost_history.append(cost)
-            lam = max(lam / _LAMBDA_DECREASE, _LAMBDA_MIN)
+            lam /= _LAMBDA_DECREASE
+            if lam < _LAMBDA_MIN:
+                lam = 0.0 if exact else _LAMBDA_MIN
             if math.sqrt(cost) <= _RESIDUAL_TOL:
                 reason = "residual_tol"
-                break
-            if step_norm <= _STEP_TOL:
+            elif step_norm <= _STEP_TOL:
                 reason = "step_tol"
-                break
+            elif xtol_hit:
+                reason = "xtol"
+            elif ftol_hit:
+                reason = "ftol"
         else:
             rejected += 1
             if step_norm <= _STEP_TOL:
                 reason = "step_tol"
-                break
-            lam = min(lam * _LAMBDA_INCREASE, _LAMBDA_MAX)
+            else:
+                lam = _raise_damping(lam)
     return theta, TrainReport(
-        iterations, cost, _max_row_norm(r), accepted, rejected, reason,
+        iterations, cost, _max_row_norm(r), accepted, rejected, reason or "max_iter",
         tuple(cost_history),
     )
 
@@ -490,10 +538,12 @@ def train_coarse(
 ) -> tuple[np.ndarray, TrainReport]:
     """Fit the outer-layer weights so the ansatz satisfies the ODE at the nodes.
 
-    Uses the dense residual Jacobian for the small benchmarks; for the
-    semi-discretized Burgers system the matrix-free operator is used together
-    with a conjugate-gradient inner solve.
+    The exact fit uses the dense residual Jacobian for every system.  The
+    regularized fit uses it too, except on the semi-discretized Burgers
+    system, where it applies the matrix-free operator with a
+    conjugate-gradient inner solve.
     """
+    opts = opts or LmOptions()
     h_count = basis.feat_prime.shape[1]
     if theta_init is None:
         theta_init = np.zeros((h_count, system.dim))
@@ -501,7 +551,7 @@ def train_coarse(
     def residual_fn(theta):
         return residual(basis, theta, x0, system)
 
-    if system.spatial is not None:
+    if system.spatial is not None and not opts.floor_to_gauss_newton:
         disc = system.spatial
 
         def jacobian_fn(theta):

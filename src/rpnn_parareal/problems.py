@@ -39,7 +39,7 @@ class OdeSystem:
     params: dict[str, float] = dc_field(default_factory=dict)
     labels: tuple[str, ...] = ()
     # Populated only for semi-discretized PDE systems; carries the stencil
-    # matrices so training can use the matrix-free Jacobian path.
+    # matrices so the regularized fit can use the matrix-free Jacobian path.
     spatial: "BurgersDiscretization | None" = None
     # Optional batched evaluation of the field on the rows of a matrix of
     # states; only worth wiring up when a single closed form covers it.

@@ -1,24 +1,39 @@
 """Quadrature rules, collocation residual/Jacobian, and the LM trainer."""
 
+import math
+
 import numpy as np
 import pytest
 
+import rpnn_parareal.collocation as collocation
+import rpnn_parareal.parareal as parareal
 from rpnn_parareal import (
     BurgersJacobianOperator,
+    FineMethod,
     LmOptions,
+    PararealConfig,
+    TimeMesh,
     burgers_semidiscretize,
     collocation_grid,
     collocation_nodes,
     levenberg_marquardt,
     make_benchmark,
+    parareal_solve,
     quadrature_weights,
     residual,
     residual_jacobian,
     sample_basis,
     train_coarse,
 )
-from rpnn_parareal.collocation import _unvec, _vec
-from rpnn_parareal.problems import BENCHMARK_NAMES
+from rpnn_parareal.collocation import (
+    TrainingError,
+    TrainReport,
+    _conjugate_gradient,
+    _max_row_norm,
+    _unvec,
+    _vec,
+)
+from rpnn_parareal.problems import BENCHMARK_NAMES, default_initial_state
 
 from conftest import constant_system, linear_system, sample_benchmark_state, zero_system
 
@@ -305,6 +320,194 @@ def test_lm_accepted_costs_strictly_decrease():
 def test_lm_options_validation():
     with pytest.raises(ValueError):
         LmOptions(max_iter=0)
+
+
+EXACT = LmOptions(floor_to_gauss_newton=True)
+TERMINATIONS = {"residual_tol", "step_tol", "ftol", "xtol", "max_iter"}
+
+
+def test_exact_fit_square_linear_system_is_one_newton_step():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    b = rng.standard_normal(6)
+    theta, report = levenberg_marquardt(lambda th: a @ th - b, lambda th: a, np.zeros(6), EXACT)
+    assert (report.iterations, report.accepted, report.rejected) == (1, 1, 0)
+    assert report.termination == "residual_tol"
+    assert np.array_equal(theta, np.linalg.solve(a, b))  # the undamped LU step
+
+
+def test_exact_fit_singular_square_jacobian_takes_least_squares_step():
+    a = np.array([[1.0, 1.0], [1.0, 1.0]])
+    b = np.array([2.0, 2.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, b)
+    theta, report = levenberg_marquardt(lambda th: a @ th - b, lambda th: a, np.zeros(2), EXACT)
+    np.testing.assert_allclose(theta, [1.0, 1.0], rtol=0, atol=1e-14)  # minimum norm
+    assert (report.accepted, report.rejected) == (1, 0)
+    assert report.termination == "residual_tol"
+
+
+def test_exact_fit_damps_after_rejected_newton_step():
+    def res(th):
+        return np.array([1.0 - th[0], 10.0 * (th[1] - th[0] ** 2)])
+
+    def jac(th):
+        return np.array([[-1.0, 0.0], [-20.0 * th[0], 10.0]])
+
+    start = np.array([-1.2, 1.0])
+    newton = start + np.linalg.solve(jac(start), -res(start))
+    assert np.sum(res(newton) ** 2) > np.sum(res(start) ** 2)  # the first step is rejected
+    theta, report = levenberg_marquardt(res, jac, start, EXACT)
+    assert report.rejected >= 1
+    history = report.cost_history
+    assert len(history) == report.accepted + 1
+    assert all(b < a for a, b in zip(history, history[1:]))
+    assert report.termination in TERMINATIONS - {"max_iter"}
+    assert np.linalg.norm(theta - np.array([1.0, 1.0])) <= 1e-8
+
+
+def test_exact_fit_trains_burgers_with_dense_jacobian(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("BurgersJacobianOperator built")
+
+    monkeypatch.setattr(collocation, "BurgersJacobianOperator", refuse)
+    system = make_benchmark("burgers")
+    x0 = default_initial_state("burgers", {"initial_condition": "sine"})
+    basis = sample_basis(5, 5, 0.02, seed=11)
+    _, report = train_coarse(basis, x0, system, None, EXACT)
+    assert report.epsilon <= 1e-8
+    assert report.iterations <= 20
+    assert report.termination in TERMINATIONS - {"max_iter"}
+    with pytest.raises(AssertionError, match="built"):  # the regularized fit builds it
+        train_coarse(basis, x0, system, None, LmOptions(1, floor_to_gauss_newton=False))
+
+
+# The regularized fit as it stood before the exact fit became Newton-first:
+# the loop below is that version verbatim, with the constants it read then.
+_REF_RESIDUAL_TOL = 1e-10
+_REF_STEP_TOL = 1e-12
+_REF_LAMBDA_INIT = 1e-3
+_REF_LAMBDA_INCREASE = 10.0
+_REF_LAMBDA_DECREASE = 10.0
+_REF_LAMBDA_MIN = 1e-12
+_REF_LAMBDA_MAX = 1e10
+_REF_MARQUARDT_DIAG_FLOOR = 1e-14
+_REF_CG_TOL = 1e-12
+_REF_CG_MAX_ITER_FACTOR = 10
+
+
+def _reference_levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts):
+    theta = np.array(theta_init, dtype=float)
+    shape = theta.shape
+    r = residual_fn(theta)
+    cost = float(np.sum(r * r))
+    cost_history = [cost]
+    res_norm = math.sqrt(cost)
+    if res_norm <= _REF_RESIDUAL_TOL:
+        return theta, TrainReport(0, cost, _max_row_norm(r), 0, 0, "residual_tol",
+                                  tuple(cost_history))
+    lam = _REF_LAMBDA_INIT
+    iterations = accepted = rejected = 0
+    reason = "max_iter"
+    need_jacobian = True
+    jac = g = diag = None
+    dense = True
+    while iterations < opts.max_iter:
+        iterations += 1
+        if need_jacobian:
+            jac = jacobian_fn(theta)
+            dense = isinstance(jac, np.ndarray)
+            if dense:
+                diag = np.einsum("ij,ij->j", jac, jac)
+            else:
+                # matrix-shaped unknowns throughout the operator path
+                g = jac.rmatvec_mat(r)
+                diag = jac.diag_jtj_mat()
+            if np.min(diag) < _REF_MARQUARDT_DIAG_FLOOR:
+                diag = np.ones_like(diag)
+            need_jacobian = False
+        while True:
+            try:
+                if dense:
+                    n_unknowns = jac.shape[1]
+                    if opts.floor_to_gauss_newton and lam <= _REF_LAMBDA_MIN:
+                        delta = np.linalg.lstsq(jac, -_vec(r), rcond=None)[0]
+                    else:
+                        augmented = np.vstack([jac, np.diag(np.sqrt(lam * diag))])
+                        rhs = np.concatenate([-_vec(r), np.zeros(n_unknowns)])
+                        delta = np.linalg.lstsq(augmented, rhs, rcond=None)[0]
+                else:
+                    preconditioner = jac.make_preconditioner_mat(lam, diag)
+                    delta = _conjugate_gradient(
+                        lambda v: jac.rmatvec_mat(jac.matvec_mat(v)) + lam * (diag * v),
+                        -g,
+                        _REF_CG_TOL,
+                        _REF_CG_MAX_ITER_FACTOR * g.size,
+                        apply_m=preconditioner,
+                    )
+                break
+            except np.linalg.LinAlgError as exc:
+                if lam >= _REF_LAMBDA_MAX:
+                    raise TrainingError(
+                        f"linear solve failed after damping escalation to {lam:.1e}"
+                    ) from exc
+                lam = min(lam * _REF_LAMBDA_INCREASE, _REF_LAMBDA_MAX)
+        if dense and theta.ndim == 2:
+            theta_try = theta + _unvec(delta, shape)
+        else:
+            theta_try = theta + delta
+        r_try = residual_fn(theta_try)
+        cost_try = float(np.sum(r_try * r_try))
+        step_norm = float(np.linalg.norm(delta))
+        if cost_try < cost:
+            theta, r, cost = theta_try, r_try, cost_try
+            accepted += 1
+            need_jacobian = True
+            cost_history.append(cost)
+            lam = max(lam / _REF_LAMBDA_DECREASE, _REF_LAMBDA_MIN)
+            if math.sqrt(cost) <= _REF_RESIDUAL_TOL:
+                reason = "residual_tol"
+                break
+            if step_norm <= _REF_STEP_TOL:
+                reason = "step_tol"
+                break
+        else:
+            rejected += 1
+            if step_norm <= _REF_STEP_TOL:
+                reason = "step_tol"
+                break
+            lam = min(lam * _REF_LAMBDA_INCREASE, _REF_LAMBDA_MAX)
+    return theta, TrainReport(
+        iterations, cost, _max_row_norm(r), accepted, rejected, reason,
+        tuple(cost_history),
+    )
+
+
+def test_regularized_fit_equals_reference_on_rober_intervals(monkeypatch):
+    """Every training of the reduced ROBER run, warm starts included, gives
+    bitwise the reference loop's weights and cost history."""
+    calls = []
+    real_train = parareal.train_coarse
+
+    def recording_train(basis, x0, system, theta_init, opts):
+        theta, report = real_train(basis, x0, system, theta_init, opts)
+        calls.append((basis, x0.copy(), system, theta_init, opts, theta, report))
+        return theta, report
+
+    monkeypatch.setattr(parareal, "train_coarse", recording_train)
+    mesh = TimeMesh.from_blocks([(0.0, 1.0, 10), (1.0, 10.0, 5)])
+    config = PararealConfig(fine=FineMethod("implicit-euler", 1e-3), tol=1e-4, max_it=20, seed=1)
+    assert not config.lm.floor_to_gauss_newton
+    parareal_solve(make_benchmark("rober"), np.array([1.0, 0.0, 0.0]), mesh, config)
+    assert len(calls) >= mesh.n_intervals
+    for basis, x0, system, theta_init, opts, theta, report in calls:
+        ref_theta, ref_report = _reference_levenberg_marquardt(
+            lambda th: residual(basis, th, x0, system),
+            lambda th: residual_jacobian(basis, th, x0, system),
+            theta_init, opts)
+        assert np.array_equal(theta, ref_theta)
+        assert np.array_equal(report.cost_history, ref_report.cost_history)
+        assert report == ref_report
 
 
 # ---------------------------------------------------------------------------
