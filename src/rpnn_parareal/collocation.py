@@ -11,11 +11,10 @@ respect to vec(theta) (column stacking) is
     I_d (x) Hp - dvecF/dvecX . (I_d (x) (H - H0)),
 
 square when there are as many hidden units as collocation nodes.  The trainer
-has two modes.  The exact fit solves G = 0 by Newton's method, damping only
-after a rejected step, and uses the dense Jacobian for every system.  The
+works on this dense Jacobian for every system and has two modes.  The exact
+fit solves G = 0 by Newton's method, damping only after a rejected step.  The
 regularized fit keeps Marquardt damping on throughout, so that a stiff
-transient the ansatz cannot resolve still gets weights of moderate size; for
-the semi-discretized Burgers system it applies the Jacobian matrix-free.
+transient the ansatz cannot resolve still gets weights of moderate size.
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ _LAMBDA_INCREASE = 10.0
 _LAMBDA_DECREASE = 10.0
 _LAMBDA_MIN = 1e-12
 _LAMBDA_MAX = 1e10
-# Conjugate-gradient inner solve of the matrix-free path: relative residual
-# tolerance and iteration cap per unknown.
-_CG_TOL = 1e-12
-_CG_MAX_ITER_FACTOR = 10
 
 
 class TrainingError(SolverError):
@@ -192,13 +187,18 @@ def residual_jacobian(
 
     Entry ((j, c), (k, h)) is delta_jk Hp[c, h] - DF(state_c)[j, k] Hm[c, h].
     """
-    hp, hm = basis.feat_prime, basis.feat_shifted
-    c_count, h_count = hp.shape
-    d = system.dim
     states = collocation_states(basis, theta, x0)
-    jacs = np.empty((c_count, d, d))
-    for c in range(c_count):
+    jacs = np.empty((states.shape[0], system.dim, system.dim))
+    for c in range(states.shape[0]):
         jacs[c] = system.jacobian(states[c])
+    return _assemble_jacobian(basis.feat_prime, basis.feat_shifted, jacs)
+
+
+def _assemble_jacobian(hp: np.ndarray, hm: np.ndarray, jacs: np.ndarray) -> np.ndarray:
+    """The (C*d, H*d) residual Jacobian from the field Jacobians DF at the
+    C collocation states, stacked as a (C, d, d) array."""
+    c_count, h_count = hp.shape
+    d = jacs.shape[1]
     # Axes (j, c, k, h): rows of vec(G) are (j, c), columns of vec(theta) (k, h).
     # Built in one (C*d, H*d) buffer; entry by entry this is
     # delta_jk * Hp - DF * Hm, with 0 * Hp off the diagonal blocks, so that
@@ -212,10 +212,12 @@ def residual_jacobian(
 
 
 class BurgersJacobianOperator:
-    """Matrix-free residual Jacobian for the semi-discretized Burgers field.
+    """Residual Jacobian of the semi-discretized Burgers field as an operator.
 
     Applies J and J^T without materializing the (C*d, H*d) matrix, using
-    dvecF/dvecX = -diag(vec(X D1^T)) - diag(vec(X)) (D1 (x) I_C) + nu D2 (x) I_C.
+    dvecF/dvecX = -diag(vec(X D1^T)) - diag(vec(X)) (D1 (x) I_C) + nu D2 (x) I_C;
+    `np.asarray` on it builds that matrix.  The trainer itself uses
+    `residual_jacobian`.
     """
 
     def __init__(
@@ -253,47 +255,14 @@ class BurgersJacobianOperator:
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         return _vec(self.rmatvec_mat(_unvec(w, (self.c_count, self.d))))
 
-    def make_preconditioner_mat(self, lam: float, diag_mat: np.ndarray):
-        """Inverse of the dominant normal-equation term, applied blockwise.
-
-        The (I_d (x) Hp) part of J gives the normal equations a block-diagonal
-        backbone Hp^T Hp per state component; inverting it (plus the damping)
-        keeps conjugate gradients fast even when Hp is badly conditioned.
-        """
-        btb = self.basis.feat_prime.T @ self.basis.feat_prime
-        blocks = np.repeat(btb[np.newaxis, :, :], self.d, axis=0)
-        idx = np.arange(self.h_count)
-        blocks[:, idx, idx] += lam * diag_mat.T
-        inv_blocks = np.linalg.inv(blocks)
-
-        def apply(vmat: np.ndarray) -> np.ndarray:
-            return np.einsum("jhk,kj->hj", inv_blocks, vmat)
-
-        return apply
-
-    def diag_jtj_mat(self) -> np.ndarray:
-        """Column norms squared of J as an H x d array (Marquardt diagonal).
-
-        Column (h, j) of J, viewed as a C x d matrix, is
-            hm[:, h] * B[:, :, j] + e_j * (Hp[:, h] + A[:, j] * hm[:, h])
-        with A = X D1^T and B[c, k, j] = X[c, k] D1[k, j] - nu D2[k, j].
-        """
-        hp, hm = self.basis.feat_prime, self.basis.feat_shifted
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # numpy casts the float64 result to a requested dtype itself.
         d1, d2, nu = self.disc.d1, self.disc.d2, self.disc.viscosity
-        a = self.states_d1t
-        b = self.states[:, :, np.newaxis] * d1[np.newaxis, :, :] - nu * d2[np.newaxis, :, :]
-        s1 = np.einsum("ckj,ckj->cj", b, b)
-        bd = np.einsum("cjj->cj", b)
-        p = hp[:, :, np.newaxis] + a[:, np.newaxis, :] * hm[:, :, np.newaxis]
-        hm_sq = hm * hm
-        return (
-            np.einsum("ch,cj->hj", hm_sq, s1)
-            + 2.0 * np.einsum("ch,cj,chj->hj", hm, bd, p)
-            + np.einsum("chj,chj->hj", p, p)
-        )
-
-    def diag_jtj(self) -> np.ndarray:
-        return _vec(self.diag_jtj_mat())
+        # DF(x_c) = -diag(D1 x_c) - diag(x_c) D1 + nu D2 at each node's state x_c.
+        jacs = nu * d2 - self.states[:, :, np.newaxis] * d1
+        idx = np.arange(self.d)
+        jacs[:, idx, idx] -= self.states_d1t
+        return _assemble_jacobian(self.basis.feat_prime, self.basis.feat_shifted, jacs)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +279,8 @@ class LmOptions:
     the relative stopping tests ftol and xtol.  Turned off, it makes a
     regularized fit: damping starts at 1e-3 and never drops below 1e-12, so
     the weights stay moderate where the ansatz cannot resolve a stiff
-    transient.
+    transient; each of its steps is a dense least-squares solve twice the
+    height of the Jacobian.
     """
 
     max_iter: int = 100
@@ -349,43 +319,6 @@ def _max_row_norm(g: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(np.atleast_2d(g), axis=1)))
 
 
-def _conjugate_gradient(
-    apply_a: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    tol: float,
-    max_iter: int,
-    apply_m: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """(Preconditioned) CG for SPD systems, stopping at ||Ax - b|| <= tol ||b||.
-
-    Operands may be arrays of any shape; inner products flatten.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    b_norm = math.sqrt(float(np.vdot(b, b)))
-    if b_norm == 0.0:
-        return x
-    z = apply_m(r) if apply_m is not None else r
-    p = z.copy()
-    rz = float(np.vdot(r, z))
-    threshold = tol * b_norm
-    for _ in range(max_iter):
-        if math.sqrt(float(np.vdot(r, r))) <= threshold:
-            return x
-        ap = apply_a(p)
-        denom = float(np.vdot(p, ap))
-        if denom <= 0.0:
-            raise np.linalg.LinAlgError("CG breakdown: operator not positive definite")
-        alpha = rz / denom
-        x = x + alpha * p
-        r = r - alpha * ap
-        z = apply_m(r) if apply_m is not None else r
-        rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x
-
-
 def _raise_damping(lam: float) -> float:
     return min(lam * _LAMBDA_INCREASE, _LAMBDA_MAX) if lam else _LAMBDA_INIT
 
@@ -403,7 +336,7 @@ def _undamped_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def levenberg_marquardt(
     residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray | BurgersJacobianOperator],
+    jacobian_fn: Callable[[np.ndarray], np.ndarray],
     theta_init: np.ndarray,
     opts: LmOptions | None = None,
 ) -> tuple[np.ndarray, TrainReport]:
@@ -424,9 +357,9 @@ def levenberg_marquardt(
     accepted step, "ftol" (it lowered the cost by at most 1e-10 of it) and
     "xtol" (||delta|| <= 1e-12 (1e-12 + ||theta||)).
 
-    The Jacobian may be a dense array or a matrix-free operator
-    (matvec_mat/rmatvec_mat/diag_jtj_mat), in which case the normal equations
-    are solved by preconditioned conjugate gradients.
+    `jacobian_fn` may return anything `np.asarray` turns into the dense
+    Jacobian of vec(r) with respect to vec(theta); the trainer works on that
+    matrix.
     """
     opts = opts or LmOptions()
     exact = opts.floor_to_gauss_newton
@@ -443,34 +376,18 @@ def levenberg_marquardt(
     iterations = accepted = rejected = 0
     reason = None
     need_jacobian = True
-    jac = g = diag = None
-    dense = True
+    jac = diag = None
     while reason is None and iterations < opts.max_iter:
         iterations += 1
         if need_jacobian:
-            jac = jacobian_fn(theta)
-            dense = isinstance(jac, np.ndarray)
-            if dense:
-                diag = np.einsum("ij,ij->j", jac, jac)
-            else:
-                # matrix-shaped unknowns throughout the operator path
-                g = jac.rmatvec_mat(r)
-                diag = jac.diag_jtj_mat()
+            jac = np.asarray(jacobian_fn(theta))
+            diag = np.einsum("ij,ij->j", jac, jac)
             if np.min(diag) < _MARQUARDT_DIAG_FLOOR:
                 diag = np.ones_like(diag)
             need_jacobian = False
         while True:
             try:
-                if not dense:
-                    preconditioner = jac.make_preconditioner_mat(lam, diag)
-                    delta = _conjugate_gradient(
-                        lambda v: jac.rmatvec_mat(jac.matvec_mat(v)) + lam * (diag * v),
-                        -g,
-                        _CG_TOL,
-                        _CG_MAX_ITER_FACTOR * g.size,
-                        apply_m=preconditioner,
-                    )
-                elif lam == 0.0:
+                if lam == 0.0:
                     delta = _undamped_step(jac, -_vec(r))
                 elif exact:
                     # The damped normal equations, assembled in one buffer.
@@ -492,10 +409,7 @@ def levenberg_marquardt(
                         f"linear solve failed after damping escalation to {lam:.1e}"
                     ) from exc
                 lam = _raise_damping(lam)
-        if dense and theta.ndim == 2:
-            theta_try = theta + _unvec(delta, shape)
-        else:
-            theta_try = theta + delta
+        theta_try = theta + _unvec(delta, shape)
         r_try = residual_fn(theta_try)
         cost_try = float(np.sum(r_try * r_try))
         step_norm = float(np.linalg.norm(delta))
@@ -538,10 +452,7 @@ def train_coarse(
 ) -> tuple[np.ndarray, TrainReport]:
     """Fit the outer-layer weights so the ansatz satisfies the ODE at the nodes.
 
-    The exact fit uses the dense residual Jacobian for every system.  The
-    regularized fit uses it too, except on the semi-discretized Burgers
-    system, where it applies the matrix-free operator with a
-    conjugate-gradient inner solve.
+    Both fit modes train on the dense `residual_jacobian`.
     """
     opts = opts or LmOptions()
     h_count = basis.feat_prime.shape[1]
@@ -551,15 +462,7 @@ def train_coarse(
     def residual_fn(theta):
         return residual(basis, theta, x0, system)
 
-    if system.spatial is not None and not opts.floor_to_gauss_newton:
-        disc = system.spatial
-
-        def jacobian_fn(theta):
-            return BurgersJacobianOperator(basis, theta, x0, disc)
-
-    else:
-
-        def jacobian_fn(theta):
-            return residual_jacobian(basis, theta, x0, system)
+    def jacobian_fn(theta):
+        return residual_jacobian(basis, theta, x0, system)
 
     return levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts)

@@ -39,7 +39,8 @@ class OdeSystem:
     params: dict[str, float] = dc_field(default_factory=dict)
     labels: tuple[str, ...] = ()
     # Populated only for semi-discretized PDE systems; carries the stencil
-    # matrices so the regularized fit can use the matrix-free Jacobian path.
+    # matrices that `BurgersJacobianOperator` is built from.  The solver does
+    # not read it; only the operator's callers do.
     spatial: "BurgersDiscretization | None" = None
     # Optional batched evaluation of the field on the rows of a matrix of
     # states; only worth wiring up when a single closed form covers it.

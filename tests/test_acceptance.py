@@ -16,6 +16,7 @@ import pytest
 
 from rpnn_parareal import (
     FineMethod,
+    LmOptions,
     PararealConfig,
     TimeMesh,
     collocation_grid,
@@ -74,7 +75,8 @@ def burgers_runs():
     system = make_benchmark("burgers")
     mesh = TimeMesh.uniform(0.0, 1.0, 50)
     config = PararealConfig(
-        fine=FineMethod("implicit-euler", 1.0 / 500.0), tol=1e-4, max_it=20, seed=11
+        fine=FineMethod("implicit-euler", 1.0 / 500.0), tol=1e-4, max_it=20, seed=11,
+        lm=LmOptions(),
     )
     runs = {}
     tic = time.perf_counter()

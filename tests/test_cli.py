@@ -117,6 +117,19 @@ def test_nodes_csv_byte_identical_across_workers(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_rerun_replaces_artifacts_instead_of_truncating(tmp_path):
+    """A second run into the same directory writes new files: a hard link to
+    the first run's nodes.csv keeps the old file and its bytes."""
+    config = _tiny_sir_config(tmp_path / "run")
+    first = run_experiment(config).files["nodes"]
+    kept = tmp_path / "kept.csv"
+    kept.hardlink_to(first)
+    before = kept.read_bytes()
+    second = run_experiment(config).files["nodes"]
+    assert not kept.samefile(second)
+    assert kept.read_bytes() == before == second.read_bytes()
+
+
 def test_rober_nodes_carry_scaled_column(tmp_path):
     data = {
         "benchmark": "rober",
