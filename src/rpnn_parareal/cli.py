@@ -25,7 +25,11 @@ Both JSON files are strict JSON: a non-finite number (a vacuous certificate
 bound, say) is written as ``null``.
 
 Exit codes: 0 success, 2 config error (nothing is written), 3 iteration cap
-hit without meeting the tolerance, 4 numerical failure.
+hit without meeting the tolerance, 4 numerical failure.  A numerical failure
+in the Parareal solve or the serial reference solve writes only
+``meta.json``, whose ``failure`` block names the phase, the exception's type
+and message, and the interval and iteration it carries (``null`` when it
+carries none).
 """
 
 from __future__ import annotations
@@ -377,16 +381,19 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         "state_labels": list(system.labels),
     }
 
+    phase = "parareal"
     try:
         result = parareal_solve(system, x0, mesh, pconfig)
+        phase = "serial_reference"
+        tic = time.perf_counter()
+        reference = serial_solve(system, x0, mesh, pconfig.fine)
+        serial_time = time.perf_counter() - tic
     except SolverError as exc:
-        meta["failure"] = {"type": type(exc).__name__, "message": str(exc)}
+        meta["failure"] = {"phase": phase, "type": type(exc).__name__,
+                           "message": str(exc), "interval": exc.interval,
+                           "iteration": exc.iteration}
         _write_json(out_dir / "meta.json", meta)
         raise
-
-    tic = time.perf_counter()
-    reference = serial_solve(system, x0, mesh, pconfig.fine)
-    serial_time = time.perf_counter() - tic
     comparison = compare_with_serial(result.node_states, reference)
     timings = {
         "phases": {key: result.timings[key]

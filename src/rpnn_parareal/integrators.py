@@ -7,9 +7,11 @@ independent; the Parareal fine sweep nevertheless runs the subintervals one
 after another in the calling thread.
 
 A fine step of a small system costs a few microseconds of Python overhead
-and little field work, so the steppers keep per-step work lean: RK4 checks
-finiteness once per step, on the update, and finds the failing stage only
-after a failure.
+and little field work, so RK4 runs all the steps of an interval as one loop
+on Python floats: the field is called through its float form when it has
+one (`OdeSystem` explains), finiteness is checked once per step, on the
+update, and the failing stage is found only after a failure.  The results
+are bitwise those of the array expressions of the scheme.
 """
 
 from __future__ import annotations
@@ -28,7 +30,14 @@ _STEP_COUNT_RTOL = 1e-9
 
 
 class SolverError(Exception):
-    """Base class for numerical failures raised by this package."""
+    """Base class for numerical failures raised by this package.
+
+    `interval` and `iteration` locate the failure in the mesh and in the
+    Parareal iteration (0 for the zeroth sweep) when the raiser knows them.
+    """
+
+    interval: int | None = None
+    iteration: int | None = None
 
 
 class StepFailure(SolverError):
@@ -79,22 +88,44 @@ class FineMethod:
 def rk4_step(system: OdeSystem, x: np.ndarray, h: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of size h.
 
-    Finiteness is checked once, on the update: with h > 0 a non-finite stage
-    makes the update non-finite too.  A failed step is evaluated again stage
-    by stage, and the StepFailure names the first non-finite stage (1-4), or
-    stage 5 when only the update overflowed.
+    The one-step case of the loop `fine_propagate` runs: the stages are
+    computed on Python floats and finiteness is checked once, on the update
+    (with h > 0 a non-finite stage makes the update non-finite too).  A
+    failed step is evaluated again on arrays, stage by stage, and the
+    StepFailure names the first non-finite stage (1-4), or stage 5 when only
+    the update overflowed.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
-    field = system.field
-    k1 = field(x)
-    k2 = field(x + (0.5 * h) * k1)
-    k3 = field(x + (0.5 * h) * k2)
-    k4 = field(x + h * k3)
-    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
-        raise _rk4_failure(field, x, h)
-    return out
+    return _rk4_steps(system.field, x, h, 1)
+
+
+def _rk4_steps(field, x: np.ndarray, h: float, steps: int) -> np.ndarray:
+    """`steps` RK4 steps of size h from x, on Python floats.
+
+    Each stage is the array expression written elementwise in the same
+    order; `+ - * /` on Python floats round as numpy's elementwise
+    operations do, so the result is bitwise the array scheme's.  The field
+    runs on floats through its `floats` form when it has one, otherwise
+    through an adapter that calls it on an array.
+    """
+    f = getattr(field, "floats", None)
+    if f is None:
+        def f(y):
+            return field(np.array(y)).tolist()
+    hh, h6 = 0.5 * h, h / 6.0
+    y = x.tolist()
+    for _ in range(steps):
+        k1 = f(y)
+        k2 = f([a + hh * b for a, b in zip(y, k1)])
+        k3 = f([a + hh * b for a, b in zip(y, k2)])
+        k4 = f([a + h * b for a, b in zip(y, k3)])
+        out = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+               for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, out)):
+            raise _rk4_failure(field, np.array(y), h)
+        y = out
+    return np.array(y)
 
 
 def _rk4_failure(field, x: np.ndarray, h: float) -> StepFailure:
@@ -182,11 +213,9 @@ def fine_propagate(
     steps = step_count(length, method.dt)
     y = np.asarray(x, dtype=float)
     if method.kind == "rk4":
-        for _ in range(steps):
-            y = rk4_step(system, y, method.dt)
-    else:
-        for _ in range(steps):
-            y = implicit_euler_step(system, y, method.dt, method.newton)
+        return _rk4_steps(system.field, y, method.dt, steps)
+    for _ in range(steps):
+        y = implicit_euler_step(system, y, method.dt, method.newton)
     return y
 
 

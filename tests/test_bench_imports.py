@@ -4,8 +4,9 @@ The benchmark imports names from the package, swaps module attributes at its
 patch sites and builds its workloads from CLI configs; a rename, a removal or
 a stricter config check here would only show when the benchmark runs.  The
 scripts are parsed, except ``workloads.py``, whose ``build`` is called, and
-the one call of ``run.py`` that a change of training mode can break, its
-Burgers LM step on the matrix-free operator, is made here too.
+``spans.py``, whose fine-interval probe and counted system copy are run on
+the package; the one call of ``run.py`` that a change of training mode can
+break, its Burgers LM step on the matrix-free operator, is made here too.
 """
 
 import ast
@@ -13,13 +14,15 @@ import dataclasses
 import importlib
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
-from rpnn_parareal import (BurgersJacobianOperator, levenberg_marquardt, parareal_solve,
-                           residual)
+from rpnn_parareal import (BurgersJacobianOperator, FineMethod, fine_propagate,
+                           levenberg_marquardt, make_benchmark, parareal_solve, residual)
 from rpnn_parareal.cli import build_solver
+from rpnn_parareal.problems import default_initial_state
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -101,3 +104,41 @@ def test_bench_burgers_lm_step_on_operator(tmp_path, monkeypatch):
     assert report.iterations == 1
     assert np.all(np.isfinite(theta_step))
     assert np.isfinite(report.final_cost) and np.isfinite(report.epsilon)
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_bench_fine_probe_sees_one_call_per_interval_per_sweep(tmp_path, monkeypatch):
+    """The modelled parallel time needs one fine_propagate call per interval
+    per sweep, in interval order."""
+    spans = _load_spans()
+    wl = _load_workloads(monkeypatch).build("arenstorf-short", tmp_path)
+    probe = spans.FineProbe()
+    with probe.installed():
+        start = time.perf_counter()
+        result = parareal_solve(wl.system, wl.x0, wl.mesh, wl.solver)
+        end = time.perf_counter()
+    n = wl.mesh.n_intervals
+    assert len(probe.fine) == n * result.iterations
+    parts = probe.model_parts(start, end, n)
+    assert parts.shape == (1 + result.iterations * (n + 1),)
+    assert np.all(parts >= 0)
+
+
+def test_bench_traced_system_counts_four_field_calls_per_rk4_step():
+    """The traced copy's field has no float form, so every RK4 stage is one
+    counted field call, and the copy propagates to the same bits."""
+    spans = _load_spans()
+    rec = spans.SpanRecorder()
+    system = make_benchmark("arenstorf")
+    x, steps, dt = default_initial_state("arenstorf"), 64, 17.0 / 80000.0
+    method = FineMethod("rk4", dt)
+    traced = rec.wrap("integrators.fine_propagate", fine_propagate)
+    got = traced(rec.system(system), x, steps * dt, method)
+    assert spans.SpanTable(rec).leaves_under(["field"]) == 4 * steps
+    assert np.array_equal(got, fine_propagate(system, x, steps * dt, method))

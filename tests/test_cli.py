@@ -180,20 +180,37 @@ def test_nonfinite_certificate_is_written_as_null(tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_main_exits_4_from_arenstorf_primary(tmp_path):
+def test_main_exits_4_from_arenstorf_primary(tmp_path, monkeypatch):
     a = make_benchmark("arenstorf").params["a"]
-    out = tmp_path / "primary"
-    config = tmp_path / "primary.json"
-    config.write_text(json.dumps({
-        "benchmark": "arenstorf",
-        "t_end": 0.272,
-        "mesh": {"kind": "uniform", "intervals": 2},
-        "initial_state": [-a, 0.0, 0.0, 0.0],
-        "out_dir": str(out),
-    }))
-    assert main(["--config", str(config), "--seed", "0"]) == 4
-    meta = json.loads((out / "meta.json").read_text(), parse_constant=_reject_constant)
-    assert "failure" in meta
+    primary = [-a, 0.0, 0.0, 0.0]
+
+    def run(name, **extra):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({
+            "benchmark": "arenstorf",
+            "t_end": 0.272,
+            "mesh": {"kind": "uniform", "intervals": 2},
+            "out_dir": str(tmp_path / name),
+            **extra,
+        }))
+        assert main(["--config", str(config), "--seed", "0"]) == 4
+        meta = (tmp_path / name / "meta.json").read_text()
+        return json.loads(meta, parse_constant=_reject_constant)["failure"]
+
+    # Training the first interval from the primary fails in the zeroth sweep.
+    failure = run("primary", initial_state=primary)
+    assert failure["phase"] == "parareal" and failure["type"] == "TrainingError"
+    assert failure["interval"] == 0 and failure["iteration"] == 0
+
+    # The serial reference solve from the primary fails in its first step.
+    real_serial_solve = cli.serial_solve
+    monkeypatch.setattr(cli, "serial_solve", lambda system, x0, mesh, fine:
+                        real_serial_solve(system, np.array(primary), mesh, fine))
+    failure = run("serial")
+    assert failure == {"phase": "serial_reference", "type": "StepFailure",
+                       "message": "non-finite RK4 stage", "interval": 0,
+                       "iteration": None}
+    assert sorted(path.name for path in (tmp_path / "serial").iterdir()) == ["meta.json"]
 
 
 def test_compare_with_serial():

@@ -18,7 +18,7 @@ from rpnn_parareal import (
 )
 from rpnn_parareal.problems import default_initial_state
 
-from conftest import constant_system, linear_system, zero_system
+from conftest import constant_system, linear_system, sample_benchmark_state, zero_system
 
 
 def test_rk4_matches_taylor_polynomial():
@@ -92,6 +92,99 @@ def test_rk4_step_equals_textbook_update_bitwise(name):
         got = rk4_step(system, x, h)
         assert np.array_equal(got, expected)
         x = got
+
+
+def _textbook_rk4(field, x, h, steps):
+    for _ in range(steps):
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+# Burgers has no float form, so its steps go through the array adapter.
+@pytest.mark.parametrize(
+    "name, dt, steps",
+    [
+        pytest.param("sir", 1e-2, 200, id="sir"),
+        pytest.param("rober", 1e-4, 200, id="rober"),
+        pytest.param("lorenz", 10.0 / 14500.0, 580, id="lorenz"),
+        pytest.param("arenstorf", 17.0 / 80000.0, 640, id="arenstorf"),
+        pytest.param("brusselator", 1e-2, 200, id="brusselator"),
+        pytest.param("burgers", 1e-4, 50, id="burgers"),
+    ],
+)
+def test_fine_propagate_equals_textbook_array_rk4_bitwise(name, dt, steps):
+    system = make_benchmark(name)
+    assert hasattr(system.field, "floats") == (name != "burgers")
+    x = default_initial_state(name)
+    got = fine_propagate(system, x, steps * dt, FineMethod("rk4", dt))
+    assert np.array_equal(got, _textbook_rk4(system.field, x, dt, steps))
+
+
+_ARENSTORF_A = make_benchmark("arenstorf").params["a"]
+
+
+# The primary and near-primary states make Python floats raise, so the float
+# form falls back to numpy scalars; at the far state r**1.5 overflows.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["sir", "rober", "lorenz", "arenstorf", "brusselator"])
+def test_field_float_form_equals_array_field_bitwise(name):
+    system = make_benchmark(name)
+    rng = np.random.default_rng(20)
+    states = [sample_benchmark_state(name, rng, system) for _ in range(2000)]
+    if name == "arenstorf":
+        states += [np.array(state) for state in (
+            [-_ARENSTORF_A, 0.0, 0.0, 0.0],
+            [-_ARENSTORF_A, 1e-150, 0.0, 0.0],
+            [1e110, 0.0, 3.0, -2.0],
+        )]
+    for x in states:
+        got = np.array(system.field.floats(x.tolist()), dtype=float)
+        assert np.array_equal(got.view(np.int64), system.field(x).view(np.int64)), x
+
+
+def _first_failing_step(field, x, h):
+    """Step count and failing stage of array RK4 steps, staged checks."""
+    step = 0
+    while True:
+        k1 = field(x)
+        if not np.isfinite(k1).all():
+            return step, 1
+        k2 = field(x + 0.5 * h * k1)
+        if not np.isfinite(k2).all():
+            return step, 2
+        k3 = field(x + 0.5 * h * k2)
+        if not np.isfinite(k3).all():
+            return step, 3
+        k4 = field(x + h * k3)
+        if not np.isfinite(k4).all():
+            return step, 4
+        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x).all():
+            return step, 5
+        step += 1
+
+
+# x' = x**2 blows up at t = 1 / x0; with h = 0.1 the RK4 iterate overflows
+# 9 to 12 steps in, at a stage that depends on x0.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x0, stage", [(1.0, 1), (1.1, 2), (1.2, 3), (1.3, 4)])
+def test_fine_propagate_failure_mid_interval_reports_stage(x0, stage):
+    system = OdeSystem(1, lambda x: x * x, lambda x: np.diag(2 * x), "sq")
+    h = 0.1
+    step, expected = _first_failing_step(system.field, np.array([x0]), h)
+    assert expected == stage and step >= 5
+    with pytest.raises(StepFailure) as info:
+        fine_propagate(system, np.array([x0]), 2.0, FineMethod("rk4", h))
+    assert info.value.stage == stage
+    with pytest.raises(StepFailure) as info:
+        serial_solve(system, np.array([x0]), TimeMesh.uniform(0.0, 2.0, 4),
+                     FineMethod("rk4", h))
+    assert info.value.stage == stage
+    assert info.value.interval == step // 5
 
 
 def test_implicit_euler_scalar_decay_closed_form():
