@@ -40,17 +40,6 @@ class Certificate:
     quad_term: float
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "log_norm": self.log_norm,
-            "rho_sum": self.rho_sum,
-            "eps_term": self.eps_term,
-            "quad_term": self.quad_term,
-            "total": self.total,
-        }
-
 
 def defect(
     basis: RpnnBasis, theta: np.ndarray, x0: np.ndarray, system: OdeSystem, t: float

@@ -364,7 +364,7 @@ def _certificates(system, result: PararealResult, node_kind: str) -> list[dict]:
         states = np.vstack([samples, result.node_states[n : n + 2]])
         log_norm = field_log_norm_bound(system, states)
         cert = quadrature_certificate(basis, theta, x_n, system, grid, log_norm)
-        out.append({"interval": n, **cert.to_dict()})
+        out.append({"interval": n, **dataclasses.asdict(cert)})
     return out
 
 
@@ -442,7 +442,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
             {"a": b.a.tolist(), "b": b.b.tolist()} for b in result.bases
         ],
         train_reports=[
-            [report.to_dict() for report in sweep] for sweep in result.train_reports
+            [dataclasses.asdict(report) for report in sweep] for sweep in result.train_reports
         ],
         comparison={
             "max_euclidean": comparison.max_euclidean,

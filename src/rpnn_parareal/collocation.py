@@ -186,19 +186,14 @@ def residual_jacobian(
     """Dense Jacobian of vec(G) w.r.t. vec(theta), shape (C*d, H*d).
 
     Entry ((j, c), (k, h)) is delta_jk Hp[c, h] - DF(state_c)[j, k] Hm[c, h].
+    Only `system.jacobian` is read.
     """
+    hp, hm = basis.feat_prime, basis.feat_shifted
     states = collocation_states(basis, theta, x0)
-    jacs = np.empty((states.shape[0], system.dim, system.dim))
-    for c in range(states.shape[0]):
+    (c_count, d), h_count = states.shape, hp.shape[1]
+    jacs = np.empty((c_count, d, d))
+    for c in range(c_count):
         jacs[c] = system.jacobian(states[c])
-    return _assemble_jacobian(basis.feat_prime, basis.feat_shifted, jacs)
-
-
-def _assemble_jacobian(hp: np.ndarray, hm: np.ndarray, jacs: np.ndarray) -> np.ndarray:
-    """The (C*d, H*d) residual Jacobian from the field Jacobians DF at the
-    C collocation states, stacked as a (C, d, d) array."""
-    c_count, h_count = hp.shape
-    d = jacs.shape[1]
     # Axes (j, c, k, h): rows of vec(G) are (j, c), columns of vec(theta) (k, h).
     # Built in one (C*d, H*d) buffer; entry by entry this is
     # delta_jk * Hp - DF * Hm, with 0 * Hp off the diagonal blocks, so that
@@ -212,12 +207,13 @@ def _assemble_jacobian(hp: np.ndarray, hm: np.ndarray, jacs: np.ndarray) -> np.n
 
 
 class BurgersJacobianOperator:
-    """Residual Jacobian of the semi-discretized Burgers field as an operator.
+    """The dense Burgers residual Jacobian behind a matrix-vector interface.
 
-    Applies J and J^T without materializing the (C*d, H*d) matrix, using
-    dvecF/dvecX = -diag(vec(X D1^T)) - diag(vec(X)) (D1 (x) I_C) + nu D2 (x) I_C;
-    `np.asarray` on it builds that matrix.  The trainer itself uses
-    `residual_jacobian`.
+    Built once, on construction, by `residual_jacobian` with the field
+    Jacobian of `disc`; `np.asarray` on the operator returns that matrix.
+    The trainer does not use it: it is kept only for the benchmark script
+    `bench/run.py` and `tests/test_bench_imports.py`, which build it from
+    `OdeSystem.spatial`, until the benchmark times `residual_jacobian` itself.
     """
 
     def __init__(
@@ -227,42 +223,24 @@ class BurgersJacobianOperator:
         x0: np.ndarray,
         disc: BurgersDiscretization,
     ):
-        self.basis = basis
-        self.disc = disc
-        self.c_count, self.h_count = basis.feat_prime.shape
-        self.d = disc.grid_size
-        self.shape = (self.c_count * self.d, self.h_count * self.d)
-        self.states = collocation_states(basis, theta, x0)  # X, C x d
-        self.d1t = np.ascontiguousarray(disc.d1.T)
-        self.d2t = np.ascontiguousarray(disc.d2.T)
-        self.states_d1t = self.states @ self.d1t
-
-    def matvec_mat(self, vmat: np.ndarray) -> np.ndarray:
-        hp, hm = self.basis.feat_prime, self.basis.feat_shifted
-        d1t, d2t, nu = self.d1t, self.d2t, self.disc.viscosity
-        w = hm @ vmat
-        return hp @ vmat + self.states_d1t * w + self.states * (w @ d1t) - nu * (w @ d2t)
-
-    def rmatvec_mat(self, wmat: np.ndarray) -> np.ndarray:
-        hp, hm = self.basis.feat_prime, self.basis.feat_shifted
-        d1, d2, nu = self.disc.d1, self.disc.d2, self.disc.viscosity
-        field_part = -self.states_d1t * wmat - (self.states * wmat) @ d1 + nu * (wmat @ d2)
-        return hp.T @ wmat - hm.T @ field_part
+        self.matrix = residual_jacobian(basis, theta, x0, disc)
+        self.shape = self.matrix.shape
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return _vec(self.matvec_mat(_unvec(v, (self.h_count, self.d))))
+        return self.matrix @ v
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        return _vec(self.rmatvec_mat(_unvec(w, (self.c_count, self.d))))
+        return self.matrix.T @ w
+
+    def matvec_mat(self, vmat: np.ndarray) -> np.ndarray:
+        return _unvec(self.matvec(_vec(vmat)), (-1, vmat.shape[1]))
+
+    def rmatvec_mat(self, wmat: np.ndarray) -> np.ndarray:
+        return _unvec(self.rmatvec(_vec(wmat)), (-1, wmat.shape[1]))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         # numpy casts the float64 result to a requested dtype itself.
-        d1, d2, nu = self.disc.d1, self.disc.d2, self.disc.viscosity
-        # DF(x_c) = -diag(D1 x_c) - diag(x_c) D1 + nu D2 at each node's state x_c.
-        jacs = nu * d2 - self.states[:, :, np.newaxis] * d1
-        idx = np.arange(self.d)
-        jacs[:, idx, idx] -= self.states_d1t
-        return _assemble_jacobian(self.basis.feat_prime, self.basis.feat_shifted, jacs)
+        return self.matrix.copy() if copy else self.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +280,6 @@ class TrainReport:
     rejected: int
     termination: str
     cost_history: tuple[float, ...] = dc_field(default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_cost": self.final_cost,
-            "epsilon": self.epsilon,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "termination": self.termination,
-            "cost_history": list(self.cost_history),
-        }
 
 
 def _max_row_norm(g: np.ndarray) -> float:

@@ -9,9 +9,10 @@ after another in the calling thread.
 A fine step of a small system costs a few microseconds of Python overhead
 and little field work, so RK4 runs all the steps of an interval as one loop
 on Python floats: the field is called through its float form when it has
-one (`OdeSystem` explains), finiteness is checked once per step, on the
-update, and the failing stage is found only after a failure.  The results
-are bitwise those of the array expressions of the scheme.
+one (`OdeSystem` explains), and finiteness is checked once per step, on
+the update; only a failed step looks through its four stages for the first
+non-finite one.  The results are bitwise those of the array expressions of
+the scheme.
 """
 
 from __future__ import annotations
@@ -90,10 +91,9 @@ def rk4_step(system: OdeSystem, x: np.ndarray, h: float) -> np.ndarray:
 
     The one-step case of the loop `fine_propagate` runs: the stages are
     computed on Python floats and finiteness is checked once, on the update
-    (with h > 0 a non-finite stage makes the update non-finite too).  A
-    failed step is evaluated again on arrays, stage by stage, and the
-    StepFailure names the first non-finite stage (1-4), or stage 5 when only
-    the update overflowed.
+    (with h > 0 a non-finite stage makes the update non-finite too).  The
+    StepFailure of a failed step names its first non-finite stage (1-4), or
+    stage 5 when only the update overflowed.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
@@ -123,25 +123,12 @@ def _rk4_steps(field, x: np.ndarray, h: float, steps: int) -> np.ndarray:
         out = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if not all(map(math.isfinite, out)):
-            raise _rk4_failure(field, np.array(y), h)
+            for stage, k in enumerate((k1, k2, k3, k4), 1):
+                if not all(map(math.isfinite, k)):
+                    raise StepFailure("non-finite RK4 stage", stage=stage)
+            raise StepFailure("non-finite RK4 update", stage=5)
         y = out
     return np.array(y)
-
-
-def _rk4_failure(field, x: np.ndarray, h: float) -> StepFailure:
-    """The StepFailure of an RK4 step whose update is not finite."""
-    k1 = field(x)
-    if not np.isfinite(k1).all():
-        return StepFailure("non-finite RK4 stage", stage=1)
-    k2 = field(x + (0.5 * h) * k1)
-    if not np.isfinite(k2).all():
-        return StepFailure("non-finite RK4 stage", stage=2)
-    k3 = field(x + (0.5 * h) * k2)
-    if not np.isfinite(k3).all():
-        return StepFailure("non-finite RK4 stage", stage=3)
-    if not np.isfinite(field(x + h * k3)).all():
-        return StepFailure("non-finite RK4 stage", stage=4)
-    return StepFailure("non-finite RK4 update", stage=5)
 
 
 def implicit_euler_step(

@@ -15,8 +15,6 @@ import numpy as np
 Vector = np.ndarray
 Matrix = np.ndarray
 
-BENCHMARK_NAMES = ("sir", "rober", "lorenz", "arenstorf", "brusselator", "burgers")
-
 # Initial velocity of the periodic planar three-body orbit, stored at full
 # printed precision; the float format does the rounding.
 ARENSTORF_V2_0 = -2.00158510637908252240537862224
@@ -27,12 +25,13 @@ class OdeSystem:
     """Autonomous first-order system x' = F(x) with exact Jacobian DF.
 
     `field` and `jacobian` receive one state as a 1-D float array of length
-    `dim`.  The package's small closed-form systems are written once on
-    Python floats (see `_on_floats`), which is faster than numpy at this size
-    and rounds every operation the same way.  Their `field` carries that
-    float form as `field.floats(values: list) -> list`; RK4 calls it, and
-    runs any other field through an array adapter.  The float form rides on
-    the callable, so a copy whose `field` is replaced loses it.
+    `dim`.  The package's small closed-form systems write their field and
+    Jacobian once on Python floats (see `_on_floats`), which is faster than
+    numpy at this size and rounds every operation the same way.  Their
+    `field` carries that float form as `field.floats(values: list) -> list`;
+    RK4 calls it, and runs any other field through an array adapter.  The
+    float form rides on the callable, so a copy whose `field` is replaced
+    loses it.
     """
 
     dim: int
@@ -41,9 +40,10 @@ class OdeSystem:
     name: str
     params: dict[str, float] = dc_field(default_factory=dict)
     labels: tuple[str, ...] = ()
-    # Populated only for semi-discretized PDE systems; carries the stencil
-    # matrices that `BurgersJacobianOperator` is built from.  The solver does
-    # not read it; only the operator's callers do.
+    # The Burgers system's `BurgersDiscretization`, which owns its callables.
+    # Nothing in the package reads it; it is kept for the benchmark script
+    # `bench/run.py`, which builds `BurgersJacobianOperator` from it, until
+    # that script times `residual_jacobian` directly.
     spatial: "BurgersDiscretization | None" = None
     # Optional batched evaluation of the field on the rows of a matrix of
     # states; only worth wiring up when a single closed form covers it.
@@ -64,6 +64,7 @@ class BurgersDiscretization:
 
     Boundary rows of both stencil matrices are zeroed so the assembled field
     keeps homogeneous Dirichlet values pinned: boundary derivatives are 0.
+    Its methods are the Burgers system's field, Jacobian and row field.
     """
 
     grid_size: int
@@ -72,9 +73,14 @@ class BurgersDiscretization:
     d1: Matrix
     d2: Matrix
 
-    @property
-    def grid(self) -> Vector:
-        return np.arange(self.grid_size) * self.dx
+    def field(self, u: Vector) -> Vector:
+        return -u * (self.d1 @ u) + self.viscosity * (self.d2 @ u)
+
+    def jacobian(self, u: Vector) -> Matrix:
+        return -np.diag(self.d1 @ u) - np.diag(u) @ self.d1 + self.viscosity * self.d2
+
+    def field_rows(self, states: Matrix) -> Matrix:
+        return -states * (states @ self.d1.T) + self.viscosity * (states @ self.d2.T)
 
 
 def _on_floats(terms: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:
@@ -115,17 +121,15 @@ def _sir(beta: float, gamma: float) -> OdeSystem:
         recovery = gamma * i
         return [-infection, infection - recovery, recovery]
 
-    def jac(x):
-        s, i, _ = x.tolist()
-        return np.array(
-            [
-                [-beta * i, -beta * s, 0.0],
-                [beta * i, beta * s - gamma, 0.0],
-                [0.0, gamma, 0.0],
-            ]
-        )
+    def jac_terms(x):
+        s, i, _ = x
+        return [
+            [-beta * i, -beta * s, 0.0],
+            [beta * i, beta * s - gamma, 0.0],
+            [0.0, gamma, 0.0],
+        ]
 
-    return OdeSystem(3, _on_floats(field_terms), jac, "sir",
+    return OdeSystem(3, _on_floats(field_terms), _on_floats(jac_terms), "sir",
                      {"beta": beta, "gamma": gamma})
 
 
@@ -137,17 +141,15 @@ def _rober(k1: float, k2: float, k3: float) -> OdeSystem:
         r3 = k3 * y2 * y3
         return [-r1 + r3, r1 - r2 - r3, r2]
 
-    def jac(x):
-        _, y2, y3 = x.tolist()
-        return np.array(
-            [
-                [-k1, k3 * y3, k3 * y2],
-                [k1, -2.0 * k2 * y2 - k3 * y3, -k3 * y2],
-                [0.0, 2.0 * k2 * y2, 0.0],
-            ]
-        )
+    def jac_terms(x):
+        _, y2, y3 = x
+        return [
+            [-k1, k3 * y3, k3 * y2],
+            [k1, -2.0 * k2 * y2 - k3 * y3, -k3 * y2],
+            [0.0, 2.0 * k2 * y2, 0.0],
+        ]
 
-    return OdeSystem(3, _on_floats(field_terms), jac, "rober",
+    return OdeSystem(3, _on_floats(field_terms), _on_floats(jac_terms), "rober",
                      {"k1": k1, "k2": k2, "k3": k3})
 
 
@@ -160,17 +162,15 @@ def _lorenz(sigma: float, r: float, b: float) -> OdeSystem:
             x1 * x2 - b * x3,
         ]
 
-    def jac(x):
-        x1, x2, x3 = x.tolist()
-        return np.array(
-            [
-                [-sigma, sigma, 0.0],
-                [r - x3, -1.0, -x1],
-                [x2, x1, -b],
-            ]
-        )
+    def jac_terms(x):
+        x1, x2, x3 = x
+        return [
+            [-sigma, sigma, 0.0],
+            [r - x3, -1.0, -x1],
+            [x2, x1, -b],
+        ]
 
-    return OdeSystem(3, _on_floats(field_terms), jac, "lorenz",
+    return OdeSystem(3, _on_floats(field_terms), _on_floats(jac_terms), "lorenz",
                      {"sigma": sigma, "r": r, "b": b})
 
 
@@ -227,23 +227,28 @@ def _arenstorf(a: float) -> OdeSystem:
     )
 
 
-def _brusselator(a: float, b: float) -> OdeSystem:
+def _brusselator(A: float, B: float) -> OdeSystem:
     def field_terms(x):
         x1, x2 = x
         x1sq_x2 = x1 * x1 * x2
-        return [a + x1sq_x2 - (b + 1.0) * x1, b * x1 - x1sq_x2]
+        return [A + x1sq_x2 - (B + 1.0) * x1, B * x1 - x1sq_x2]
 
-    def jac(x):
-        x1, x2 = x.tolist()
-        return np.array(
-            [
-                [2.0 * x1 * x2 - (b + 1.0), x1 * x1],
-                [b - 2.0 * x1 * x2, -x1 * x1],
-            ]
-        )
+    def jac_terms(x):
+        x1, x2 = x
+        return [
+            [2.0 * x1 * x2 - (B + 1.0), x1 * x1],
+            [B - 2.0 * x1 * x2, -x1 * x1],
+        ]
 
-    return OdeSystem(2, _on_floats(field_terms), jac, "brusselator",
-                     {"A": a, "B": b})
+    return OdeSystem(2, _on_floats(field_terms), _on_floats(jac_terms), "brusselator",
+                     {"A": A, "B": B})
+
+
+def _grid_points(grid_size: float) -> int:
+    """The Burgers grid size as an int; a fractional size or one below 3 is an error."""
+    if grid_size != int(grid_size) or grid_size < 3:
+        raise ValueError(f"grid_size must be an integer >= 3, got {grid_size!r}")
+    return int(grid_size)
 
 
 def burgers_semidiscretize(
@@ -254,11 +259,9 @@ def burgers_semidiscretize(
     Field: u' = -u * (D1 u) + nu * D2 u, with homogeneous Dirichlet boundary
     conditions imposed by zeroing the boundary rows of D1 and D2.
     """
-    if grid_size < 3:
-        raise ValueError(f"grid_size must be >= 3, got {grid_size}")
+    n = _grid_points(grid_size)
     if not (np.isfinite(nu) and nu >= 0):
         raise ValueError(f"viscosity must be nonnegative and finite, got {nu}")
-    n = grid_size
     dx = 1.0 / (n - 1)
     d1 = np.zeros((n, n))
     d2 = np.zeros((n, n))
@@ -269,37 +272,44 @@ def burgers_semidiscretize(
         d2[i, i] = -2.0 / dx**2
         d2[i, i + 1] = 1.0 / dx**2
     disc = BurgersDiscretization(n, nu, dx, d1, d2)
-
-    def fun(u):
-        return -u * (d1 @ u) + nu * (d2 @ u)
-
-    def jac(u):
-        return -np.diag(d1 @ u) - np.diag(u) @ d1 + nu * d2
-
-    def fun_rows(states):
-        return -states * (states @ d1.T) + nu * (states @ d2.T)
-
     system = OdeSystem(
         n,
-        fun,
-        jac,
+        disc.field,
+        disc.jacobian,
         "burgers",
         {"nu": nu, "grid_size": float(n)},
         labels=tuple(f"u{i}" for i in range(n)),
         spatial=disc,
-        field_rows=fun_rows,
+        field_rows=disc.field_rows,
     )
     return system, disc
 
 
-_DEFAULT_PARAMS: dict[str, dict[str, float]] = {
-    "sir": {"beta": 0.1, "gamma": 0.1},
-    "rober": {"k1": 0.04, "k2": 3e7, "k3": 1e4},
-    "lorenz": {"sigma": 10.0, "r": 28.0, "b": 8.0 / 3.0},
-    "arenstorf": {"a": 0.12277471},
-    "brusselator": {"A": 1.0, "B": 3.0},
-    "burgers": {"nu": 1.0 / 50.0, "grid_size": 51},
+def _burgers_initial_state(params: dict[str, Any]) -> Vector:
+    n = _grid_points(params["grid_size"])
+    x = np.arange(n) / (n - 1)
+    return burgers_initial_condition(params.get("initial_condition", "sine"), x)
+
+
+# Each benchmark: its builder, called with the parameters as keywords; its
+# default parameters; and its initial state as a function of the parameters.
+_BENCHMARKS: dict[str, tuple[Callable[..., OdeSystem], dict[str, float],
+                             Callable[[dict[str, Any]], Vector]]] = {
+    "sir": (_sir, {"beta": 0.1, "gamma": 0.1},
+            lambda params: np.array([0.3, 0.5, 0.2])),
+    "rober": (_rober, {"k1": 0.04, "k2": 3e7, "k3": 1e4},
+              lambda params: np.array([1.0, 0.0, 0.0])),
+    "lorenz": (_lorenz, {"sigma": 10.0, "r": 28.0, "b": 8.0 / 3.0},
+               lambda params: np.array([20.0, 5.0, -5.0])),
+    "arenstorf": (_arenstorf, {"a": 0.12277471},
+                  lambda params: np.array([0.994, 0.0, 0.0, ARENSTORF_V2_0])),
+    "brusselator": (_brusselator, {"A": 1.0, "B": 3.0},
+                    lambda params: np.array([0.0, 1.0])),
+    "burgers": (lambda nu, grid_size: burgers_semidiscretize(grid_size, nu)[0],
+                {"nu": 1.0 / 50.0, "grid_size": 51}, _burgers_initial_state),
 }
+
+BENCHMARK_NAMES = tuple(_BENCHMARKS)
 
 
 def make_benchmark(name: str, overrides: dict[str, float] | None = None) -> OdeSystem:
@@ -308,47 +318,29 @@ def make_benchmark(name: str, overrides: dict[str, float] | None = None) -> OdeS
     `overrides` may replace any named parameter of the chosen system; unknown
     keys and non-finite values are rejected.
     """
-    if name not in BENCHMARK_NAMES:
+    if name not in _BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {BENCHMARK_NAMES}")
-    params = dict(_DEFAULT_PARAMS[name])
+    build, params, _ = _BENCHMARKS[name]
+    params = dict(params)
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"{name} has no parameter {key!r}; valid: {sorted(params)}")
         if not np.isfinite(value):
             raise ValueError(f"override {key}={value!r} is not finite")
         params[key] = value
-    if name == "sir":
-        return _sir(params["beta"], params["gamma"])
-    if name == "rober":
-        return _rober(params["k1"], params["k2"], params["k3"])
-    if name == "lorenz":
-        return _lorenz(params["sigma"], params["r"], params["b"])
-    if name == "arenstorf":
-        return _arenstorf(params["a"])
-    if name == "brusselator":
-        return _brusselator(params["A"], params["B"])
-    system, _ = burgers_semidiscretize(int(params["grid_size"]), params["nu"])
-    return system
+    return build(**params)
 
 
 def default_initial_state(name: str, params: dict[str, Any] | None = None) -> Vector:
-    """Benchmark initial conditions as used throughout the experiment suite."""
-    if name == "sir":
-        return np.array([0.3, 0.5, 0.2])
-    if name == "rober":
-        return np.array([1.0, 0.0, 0.0])
-    if name == "lorenz":
-        return np.array([20.0, 5.0, -5.0])
-    if name == "arenstorf":
-        return np.array([0.994, 0.0, 0.0, ARENSTORF_V2_0])
-    if name == "brusselator":
-        return np.array([0.0, 1.0])
-    if name == "burgers":
-        n = int((params or {}).get("grid_size", 51))
-        ic = (params or {}).get("initial_condition", "sine")
-        x = np.arange(n) / (n - 1)
-        return burgers_initial_condition(ic, x)
-    raise ValueError(f"unknown benchmark {name!r}")
+    """Benchmark initial conditions as used throughout the experiment suite.
+
+    `params` may override the benchmark's parameters; for Burgers it may also
+    name the `initial_condition` profile (default "sine").
+    """
+    if name not in _BENCHMARKS:
+        raise ValueError(f"unknown benchmark {name!r}")
+    _, defaults, initial_state = _BENCHMARKS[name]
+    return initial_state({**defaults, **(params or {})})
 
 
 def burgers_initial_condition(kind: str, x: Vector) -> Vector:

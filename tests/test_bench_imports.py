@@ -5,8 +5,9 @@ patch sites and builds its workloads from CLI configs; a rename, a removal or
 a stricter config check here would only show when the benchmark runs.  The
 scripts are parsed, except ``workloads.py``, whose ``build`` is called, and
 ``spans.py``, whose fine-interval probe and counted system copy are run on
-the package; the one call of ``run.py`` that a change of training mode can
-break, its Burgers LM step on the matrix-free operator, is made here too.
+the package.  The calls ``run.py`` makes on the Burgers Jacobian operator,
+which is now a view of the dense residual Jacobian, are made here too: its
+LM step on the operator and the matrix products its Jacobian timing runs.
 """
 
 import ast
@@ -104,6 +105,21 @@ def test_bench_burgers_lm_step_on_operator(tmp_path, monkeypatch):
     assert report.iterations == 1
     assert np.all(np.isfinite(theta_step))
     assert np.isfinite(report.final_cost) and np.isfinite(report.epsilon)
+
+
+def test_bench_burgers_operator_products(tmp_path, monkeypatch):
+    """The traced benchmark times `op.rmatvec_mat(op.matvec_mat(theta))` on
+    the Burgers operator; the two products have shapes (C, d) and (H, d)."""
+    wl = _load_workloads(monkeypatch).build("burgers-sine", tmp_path)
+    result = parareal_solve(wl.system, wl.x0, wl.mesh, wl.solver)
+    basis, theta, x = result.bases[0], result.thetas[0], result.node_states[0]
+    op = BurgersJacobianOperator(basis, theta, x, wl.system.spatial)
+    forward = op.matvec_mat(theta)
+    backward = op.rmatvec_mat(forward)
+    d = wl.system.dim
+    assert forward.shape == (basis.colloc, d)
+    assert backward.shape == (basis.hidden, d)
+    assert np.all(np.isfinite(backward))
 
 
 def _load_spans():

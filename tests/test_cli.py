@@ -315,6 +315,7 @@ _BAD_SIR_SETTINGS = {
     "nan-t_end": {"t_end": float("nan")},
     "t_end-outside-blocks": {"benchmark": "rober", "t_end": 5.0},
     "rpnn-not-object": {"rpnn": 5},
+    "fractional-burgers-grid": {"benchmark": "burgers", "params": {"grid_size": 20.7}},
 }
 
 

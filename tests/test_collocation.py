@@ -248,9 +248,19 @@ def test_burgers_operator_matches_dense_small_grid():
             assert np.max(np.abs(dense @ v - op.matvec(v))) <= 1e-12
             assert np.max(np.abs(dense.T @ w - op.rmatvec(w))) <= 1e-12
             assert abs(op.matvec(v) @ w - v @ op.rmatvec(w)) <= 1e-12
-        assembled = np.asarray(op)
-        assert assembled.shape == dense.shape
-        assert np.max(np.abs(assembled - dense)) <= 1e-12
+        assert np.array_equal(np.asarray(op), dense)
+        c_count, h_count = basis.feat_prime.shape
+        vmat = rng.standard_normal((h_count, grid_size))
+        wmat = rng.standard_normal((c_count, grid_size))
+        assert np.array_equal(
+            op.matvec_mat(vmat),
+            (dense @ vmat.ravel(order="F")).reshape((c_count, grid_size), order="F"))
+        assert np.array_equal(
+            op.rmatvec_mat(wmat),
+            (dense.T @ wmat.ravel(order="F")).reshape((h_count, grid_size), order="F"))
+        copied = np.array(op, copy=True)
+        assert np.array_equal(copied, dense)
+        assert not np.shares_memory(copied, np.asarray(op))
 
 
 def test_burgers_jacobian_apply_linear_in_v():

@@ -16,7 +16,7 @@ from rpnn_parareal import (
     rk4_step,
     serial_solve,
 )
-from rpnn_parareal.problems import default_initial_state
+from rpnn_parareal.problems import _on_floats, default_initial_state
 
 from conftest import constant_system, linear_system, sample_benchmark_state, zero_system
 
@@ -56,14 +56,20 @@ def test_rk4_rejects_nonpositive_step():
         rk4_step(linear_system(1.0), np.array([1.0]), 0.0)
 
 
+_ARENSTORF_A = make_benchmark("arenstorf").params["a"]
+
+
 # With h = 1, x' = lam x at x = 1 has stages of size lam, lam**2 / 2,
 # lam**3 / 4 and lam**4 / 4, so lam picks the first stage that overflows.
 # A constant field near the float maximum keeps every stage finite and
-# overflows only in the update (stage 5).
+# overflows only in the update (stage 5).  At the Arenstorf primary its float
+# form divides by zero, so the first stage comes from the numpy fallback.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "system, x0, stage",
     [
+        pytest.param(make_benchmark("arenstorf"), [-_ARENSTORF_A, 0.0, 0.0, 0.0], 1,
+                     id="arenstorf-primary-float-form"),
         pytest.param(OdeSystem(1, lambda x: x * x, lambda x: np.diag(2 * x), "sq"),
                      1e200, 1, id="stage1"),
         pytest.param(linear_system(1e200), 1.0, 2, id="stage2"),
@@ -73,8 +79,9 @@ def test_rk4_rejects_nonpositive_step():
     ],
 )
 def test_rk4_overflow_reports_stage(system, x0, stage):
+    assert hasattr(system.field, "floats") == (system.name == "arenstorf")
     with pytest.raises(StepFailure) as info:
-        rk4_step(system, np.array([x0]), 1.0)
+        rk4_step(system, np.array(x0, dtype=float, ndmin=1), 1.0)
     assert info.value.stage == stage
 
 
@@ -124,9 +131,6 @@ def test_fine_propagate_equals_textbook_array_rk4_bitwise(name, dt, steps):
     assert np.array_equal(got, _textbook_rk4(system.field, x, dt, steps))
 
 
-_ARENSTORF_A = make_benchmark("arenstorf").params["a"]
-
-
 # The primary and near-primary states make Python floats raise, so the float
 # form falls back to numpy scalars; at the far state r**1.5 overflows.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -169,22 +173,23 @@ def _first_failing_step(field, x, h):
 
 
 # x' = x**2 blows up at t = 1 / x0; with h = 0.1 the RK4 iterate overflows
-# 9 to 12 steps in, at a stage that depends on x0.
+# 9 to 12 steps in, at a stage that depends on x0.  The field runs once on
+# arrays and once through a float form, whose products overflow to inf.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("x0, stage", [(1.0, 1), (1.1, 2), (1.2, 3), (1.3, 4)])
 def test_fine_propagate_failure_mid_interval_reports_stage(x0, stage):
-    system = OdeSystem(1, lambda x: x * x, lambda x: np.diag(2 * x), "sq")
-    h = 0.1
-    step, expected = _first_failing_step(system.field, np.array([x0]), h)
+    step, expected = _first_failing_step(lambda x: x * x, np.array([x0]), 0.1)
     assert expected == stage and step >= 5
-    with pytest.raises(StepFailure) as info:
-        fine_propagate(system, np.array([x0]), 2.0, FineMethod("rk4", h))
-    assert info.value.stage == stage
-    with pytest.raises(StepFailure) as info:
-        serial_solve(system, np.array([x0]), TimeMesh.uniform(0.0, 2.0, 4),
-                     FineMethod("rk4", h))
-    assert info.value.stage == stage
-    assert info.value.interval == step // 5
+    for field in (lambda x: x * x, _on_floats(lambda x: [x[0] * x[0]])):
+        system = OdeSystem(1, field, lambda x: np.diag(2 * x), "sq")
+        with pytest.raises(StepFailure) as info:
+            fine_propagate(system, np.array([x0]), 2.0, FineMethod("rk4", 0.1))
+        assert info.value.stage == stage
+        with pytest.raises(StepFailure) as info:
+            serial_solve(system, np.array([x0]), TimeMesh.uniform(0.0, 2.0, 4),
+                         FineMethod("rk4", 0.1))
+        assert info.value.stage == stage
+        assert info.value.interval == step // 5
 
 
 def test_implicit_euler_scalar_decay_closed_form():

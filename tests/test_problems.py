@@ -127,6 +127,56 @@ def test_make_benchmark_rejects_bad_input():
         make_benchmark("sir", {"mu": 1.0})
     with pytest.raises(ValueError):
         make_benchmark("sir", {"beta": float("nan")})
+    with pytest.raises(ValueError, match="grid_size"):
+        make_benchmark("burgers", {"grid_size": 20.7})
+    with pytest.raises(ValueError, match="grid_size"):
+        default_initial_state("burgers", {"grid_size": 20.7})
+
+
+# The polynomial Jacobians written out on arrays, term by term as the
+# package writes them on Python floats.
+def _sir_array_jacobian(x, beta, gamma):
+    s, i, _ = x
+    return np.array([[-beta * i, -beta * s, 0.0],
+                     [beta * i, beta * s - gamma, 0.0],
+                     [0.0, gamma, 0.0]])
+
+
+def _rober_array_jacobian(x, k1, k2, k3):
+    _, y2, y3 = x
+    return np.array([[-k1, k3 * y3, k3 * y2],
+                     [k1, -2.0 * k2 * y2 - k3 * y3, -k3 * y2],
+                     [0.0, 2.0 * k2 * y2, 0.0]])
+
+
+def _lorenz_array_jacobian(x, sigma, r, b):
+    x1, x2, x3 = x
+    return np.array([[-sigma, sigma, 0.0],
+                     [r - x3, -1.0, -x1],
+                     [x2, x1, -b]])
+
+
+def _brusselator_array_jacobian(x, A, B):
+    x1, x2 = x
+    return np.array([[2.0 * x1 * x2 - (B + 1.0), x1 * x1],
+                     [B - 2.0 * x1 * x2, -x1 * x1]])
+
+
+@pytest.mark.parametrize("name, array_jacobian", [
+    ("sir", _sir_array_jacobian),
+    ("rober", _rober_array_jacobian),
+    ("lorenz", _lorenz_array_jacobian),
+    ("brusselator", _brusselator_array_jacobian),
+])
+def test_polynomial_jacobian_equals_array_form_bitwise(name, array_jacobian):
+    system = make_benchmark(name)
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        x = sample_benchmark_state(name, rng, system)
+        got = system.jacobian(x)
+        expected = array_jacobian(x, **system.params)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), x
 
 
 def test_make_benchmark_applies_overrides():
@@ -135,6 +185,8 @@ def test_make_benchmark_applies_overrides():
     np.testing.assert_allclose(
         system.field(np.array([1.0, 1.0, 0.0])), [-0.3, 0.2, 0.1], rtol=1e-14
     )
+    assert make_benchmark("burgers", {"grid_size": 21.0}).dim == 21
+    assert default_initial_state("burgers", {"grid_size": 21.0}).shape == (21,)
 
 
 def test_system_is_frozen():
