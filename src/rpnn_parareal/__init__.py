@@ -31,9 +31,7 @@ from .collocation import (
     TrainReport,
     TrainingError,
     collocation_grid,
-    collocation_nodes,
     levenberg_marquardt,
-    quadrature_weights,
     residual,
     residual_jacobian,
     train_coarse,
@@ -50,20 +48,14 @@ from .parareal import (
     PararealConfig,
     PararealResult,
     TimeMesh,
-    correction_step,
     evaluate_piecewise,
     parareal_solve,
-    stopping_error,
     zeroth_iterate,
 )
 from .certificates import (
     Certificate,
-    defect,
-    defect_error_bound,
     field_log_norm_bound,
-    log_norm_2,
     quadrature_certificate,
-    sensitivity_bound,
 )
 
 __version__ = "0.1.0"
@@ -90,10 +82,6 @@ __all__ = [
     "admissible_step_bound",
     "burgers_semidiscretize",
     "collocation_grid",
-    "collocation_nodes",
-    "correction_step",
-    "defect",
-    "defect_error_bound",
     "eval_network",
     "eval_network_derivative",
     "evaluate_piecewise",
@@ -101,18 +89,14 @@ __all__ = [
     "fine_propagate",
     "implicit_euler_step",
     "levenberg_marquardt",
-    "log_norm_2",
     "make_benchmark",
     "parareal_solve",
     "quadrature_certificate",
-    "quadrature_weights",
     "residual",
     "residual_jacobian",
     "rk4_step",
     "sample_basis",
-    "sensitivity_bound",
     "serial_solve",
-    "stopping_error",
     "train_coarse",
     "zeroth_iterate",
 ]

@@ -72,19 +72,6 @@ def field_log_norm_bound(system: OdeSystem, states: np.ndarray) -> float:
     return max(log_norm_2(system.jacobian(z)) for z in states)
 
 
-def defect_error_bound(epsilon: float, log_norm: float, t: float) -> float:
-    """Defect-controlled bound epsilon * (exp(M t) - 1) / M, continuous in M.
-
-    Near M t = 0 the limit epsilon * t is taken via a short series.
-    """
-    if epsilon < 0 or t < 0:
-        raise ValueError("epsilon and t must be nonnegative")
-    mt = log_norm * t
-    if abs(mt) < 1e-8:
-        return epsilon * t * (1.0 + 0.5 * mt + mt * mt / 6.0)
-    return epsilon * math.expm1(mt) / log_norm
-
-
 def sensitivity_bound(log_norm: float, dt: float) -> float:
     """Bound exp(M dt) on the flow-map Jacobian norm over one interval.
 

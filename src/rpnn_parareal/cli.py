@@ -16,8 +16,8 @@ significant digits so parsing reproduces the in-memory values bitwise):
 * ``errors.csv``     per-iteration stopping error
 * ``reference.csv``  node states of the sequential fine solve
 * ``compare.csv``    per-node Euclidean and max-abs deviation from reference
-* ``timings.json``   phase wall-clock times of the solve, its mean zeroth-sweep
-  coarse step, and the serial reference time
+* ``timings.json``   phase wall-clock times of the solve, its zeroth sweep's
+  mean time per interval, and the serial reference time
 * ``meta.json``      config echo, seeds, basis conditioning, train reports,
   certificates (with ``--certify``), comparison maxima
 
@@ -25,11 +25,11 @@ Both JSON files are strict JSON: a non-finite number (a vacuous certificate
 bound, say) is written as ``null``.
 
 Exit codes: 0 success, 2 config error (nothing is written), 3 iteration cap
-hit without meeting the tolerance, 4 numerical failure.  A numerical failure
-in the Parareal solve or the serial reference solve writes only
-``meta.json``, whose ``failure`` block names the phase, the exception's type
-and message, and the interval and iteration it carries (``null`` when it
-carries none).
+hit without meeting the tolerance, 4 numerical failure (a failed fine step,
+training run or basis sampling).  A numerical failure in the Parareal solve
+or the serial reference solve writes only ``meta.json``, whose ``failure``
+block names the phase, the exception's type and message, and the interval
+and iteration it carries (``null`` when it carries none).
 """
 
 from __future__ import annotations
@@ -205,14 +205,23 @@ def benchmark_defaults(name: str) -> dict:
     }
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """`value` as an int; an integral float such as 10.0 counts, 10.5 does not."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or value % 1 != 0 or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def build_solver(config: ExperimentConfig
                  ) -> tuple[OdeSystem, np.ndarray, TimeMesh, PararealConfig]:
     """Map a config to the system, initial state, mesh and solver settings.
 
     The objects built check their own arguments; this adds the checks that
     span several of them (fine-step divisibility, state length) or that no
-    object makes.  Any ValueError or TypeError becomes a ConfigError.  An
-    unpinned seed is drawn fresh here; nothing is sampled or solved.
+    object makes (integer settings are integral, a certified run's grid has
+    quadrature weights).  Any ValueError or TypeError becomes a ConfigError.
+    An unpinned seed is drawn fresh here; nothing is sampled or solved.
     """
     try:
         system = make_benchmark(config.benchmark, config.params or None)
@@ -235,10 +244,12 @@ def build_solver(config: ExperimentConfig
         if _MESH_SIZE_KEYS[kind] not in config.mesh:
             raise ValueError(f"{kind} mesh needs {_MESH_SIZE_KEYS[kind]!r}")
         if kind == "uniform":
-            mesh = TimeMesh.uniform(config.t0, config.t_end, int(config.mesh["intervals"]))
+            mesh = TimeMesh.uniform(config.t0, config.t_end,
+                                    _integer("mesh intervals", config.mesh["intervals"], 1))
         else:
             mesh = TimeMesh.from_blocks(
-                [(float(a), float(b), int(n)) for a, b, n in config.mesh["blocks"]])
+                [(float(a), float(b), _integer("mesh block count", n, 1))
+                 for a, b, n in config.mesh["blocks"]])
             span = (float(mesh.nodes[0]), float(mesh.nodes[-1]))
             if span != (config.t0, config.t_end):
                 raise ValueError(f"mesh blocks span {list(span)}, "
@@ -248,7 +259,8 @@ def build_solver(config: ExperimentConfig
             kind=config.fine["kind"],
             dt=float(config.fine["dt"]),
             newton=NewtonOptions(tol=float(config.fine["newton_tol"]),
-                                 max_iter=int(config.fine["newton_max_iter"])),
+                                 max_iter=_integer("fine newton_max_iter",
+                                                   config.fine["newton_max_iter"], 1)),
         )
         for length in mesh.lengths:
             step_count(float(length), fine.dt)
@@ -258,17 +270,19 @@ def build_solver(config: ExperimentConfig
         solver = PararealConfig(
             fine=fine,
             tol=config.tol,
-            max_it=config.max_it,
-            hidden=int(rpnn["hidden"]),
-            colloc=int(rpnn["colloc"]),
+            max_it=_integer("max_it", config.max_it, 1),
+            hidden=_integer("rpnn hidden", rpnn["hidden"], 1),
+            colloc=_integer("rpnn colloc", rpnn["colloc"], 1),
             node_kind=rpnn["node_kind"],
             weight_bounds=tuple(rpnn["bounds"]),
-            seed=int(np.random.SeedSequence().generate_state(1)[0]) if seed is None else int(seed),
-            workers=config.workers,
+            seed=(int(np.random.SeedSequence().generate_state(1)[0]) if seed is None
+                  else _integer("rpnn seed", seed, 0)),
+            workers=_integer("workers", config.workers, 1),
             lm=LmOptions(floor_to_gauss_newton=bool(rpnn["gauss_newton_floor"])),
         )
-        if not (isinstance(config.dense_samples, int) and config.dense_samples >= 2):
-            raise ValueError("dense_samples must be an integer >= 2")
+        if config.certify:
+            collocation_grid(solver.node_kind, solver.colloc, 1.0)  # the certificates' grid
+        _integer("dense_samples", config.dense_samples, 2)
         if not isinstance(config.out_dir, str):
             raise TypeError("out_dir must be a string")
     except (ValueError, TypeError) as exc:
@@ -396,10 +410,8 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         raise
     comparison = compare_with_serial(result.node_states, reference)
     timings = {
-        "phases": {key: result.timings[key]
-                   for key in ("zeroth_sweep", "fine_sweeps", "coarse_sweeps", "total")},
-        "avg_coarse_step_zeroth": float(np.mean(result.timings["zeroth_train_per_interval"])),
-        "total_average": result.timings["total"],
+        "phases": result.timings,
+        "avg_coarse_step_zeroth": result.timings["zeroth_sweep"] / mesh.n_intervals,
         "serial_reference": serial_time,
     }
 
@@ -417,7 +429,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     }
     _write_csv(files["nodes"], node_header,
                _state_rows(mesh.nodes, result.node_states, scale_x2))
-    dense_ts = np.linspace(mesh.nodes[0], mesh.nodes[-1], config.dense_samples)
+    dense_ts = np.linspace(mesh.nodes[0], mesh.nodes[-1], int(config.dense_samples))
     _write_csv(files["dense"], ["t", *labels],
                ([t, *evaluate_piecewise(result, float(t))] for t in dense_ts))
     _write_csv(files["errors"], ["iteration", "stopping_error"],

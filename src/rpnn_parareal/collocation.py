@@ -55,11 +55,6 @@ _LAMBDA_MAX = 1e10
 class TrainingError(SolverError):
     """Levenberg-Marquardt failed; carries solver context when available."""
 
-    def __init__(self, message: str, interval: int | None = None, iteration: int | None = None):
-        super().__init__(message)
-        self.interval = interval
-        self.iteration = iteration
-
 
 def _vec(m: np.ndarray) -> np.ndarray:
     return m.ravel(order="F")
@@ -143,7 +138,6 @@ def quadrature_weights(nodes: np.ndarray, dt: float) -> np.ndarray:
 class CollocationGrid:
     """Node/weight pair with its guaranteed exactness order (p = C here)."""
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
     order: int
@@ -151,7 +145,7 @@ class CollocationGrid:
 
 def collocation_grid(kind: str, c: int, dt: float) -> CollocationGrid:
     nodes = collocation_nodes(kind, c, dt)
-    return CollocationGrid(kind, nodes, quadrature_weights(nodes, dt), c)
+    return CollocationGrid(nodes, quadrature_weights(nodes, dt), c)
 
 
 # ---------------------------------------------------------------------------

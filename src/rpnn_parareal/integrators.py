@@ -44,19 +44,17 @@ class SolverError(Exception):
 class StepFailure(SolverError):
     """A single step produced a non-finite value."""
 
-    def __init__(self, message: str, stage: int | None = None, interval: int | None = None):
+    def __init__(self, message: str, stage: int | None = None):
         super().__init__(message)
         self.stage = stage
-        self.interval = interval
 
 
 class NewtonNonconvergence(SolverError):
     """Newton failed to reach the requested residual within max_iter."""
 
-    def __init__(self, message: str, residual: float, interval: int | None = None):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-        self.interval = interval
 
 
 @dataclass(frozen=True)

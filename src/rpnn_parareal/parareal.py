@@ -6,8 +6,9 @@ One pass of the algorithm:
   interval and propagates the nodes with the network;
 * each later iteration runs the fine propagator from the previous iterate's
   nodes on every interval (independent propagations, run one after another
-  in the calling thread), then a sequential coarse re-sweep retrains the
-  weights at the updated nodes and applies the predictor-corrector update;
+  in the calling thread), then the same coarse sweep again, which retrains
+  the weights at the updated nodes and applies the predictor-corrector
+  update (Lions, Maday and Turinici 2001) to the fine values;
 * the stopping error is the largest Euclidean node difference between
   consecutive iterates.
 
@@ -29,7 +30,7 @@ import numpy as np
 from .collocation import LmOptions, TrainReport, TrainingError, collocation_nodes, train_coarse
 from .integrators import FineMethod, SolverError, fine_propagate, step_count
 from .problems import OdeSystem
-from .rpnn import RpnnBasis, eval_network, sample_basis
+from .rpnn import BasisConditioningError, RpnnBasis, eval_network, sample_basis
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,10 @@ class _CoarseTrainer:
 
     One basis is sampled per distinct interval length (bitwise key) and reused
     across all iterations; weights warm-start from the interval's previous
-    ones.  A retrain request at a bitwise-identical input state returns the
-    cached weights and coarse value.
+    ones.  `last[n]` holds interval n's latest (input state, coarse value,
+    train report): a retrain request at a bitwise-identical input state
+    returns that coarse value and report, and a corrected sweep reads the
+    coarse value as the previous iterate's.
     """
 
     def __init__(self, system: OdeSystem, mesh: TimeMesh, config: PararealConfig):
@@ -179,74 +182,76 @@ class _CoarseTrainer:
         for n, length in enumerate(lengths):
             key = float(length)
             if key not in by_length:
-                by_length[key] = sample_basis(
-                    hidden=config.hidden,
-                    colloc=config.colloc,
-                    dt=key,
-                    node_kind=config.node_kind,
-                    bounds=config.weight_bounds,
-                    seed=_interval_seed(config.seed, n),
-                )
+                try:
+                    by_length[key] = sample_basis(
+                        config.hidden, config.colloc, key, config.node_kind,
+                        config.weight_bounds, _interval_seed(config.seed, n))
+                except BasisConditioningError as exc:
+                    exc.interval, exc.iteration = n, 0
+                    raise
             self.bases.append(by_length[key])
-        n_int = len(lengths)
-        self.thetas: list[np.ndarray] = [
-            np.zeros((config.hidden, system.dim)) for _ in range(n_int)
-        ]
-        self._last_input: list[np.ndarray | None] = [None] * n_int
-        self._last_coarse: list[np.ndarray | None] = [None] * n_int
-        self._last_report: list[TrainReport | None] = [None] * n_int
+        self.thetas = [np.zeros((config.hidden, system.dim)) for _ in lengths]
+        self.last: list[tuple[np.ndarray, np.ndarray, TrainReport] | None] = [None] * len(lengths)
 
-    def train_and_step(self, n: int, x: np.ndarray, iteration: int,
-                       warm_from_previous_interval: bool = False
+    def train_and_step(self, n: int, x: np.ndarray, iteration: int
                        ) -> tuple[np.ndarray, TrainReport]:
-        """Train interval n at state x and return (coarse endpoint, report)."""
-        cached_input = self._last_input[n]
-        if cached_input is not None and np.array_equal(cached_input, x):
-            return self._last_coarse[n], self._last_report[n]
+        """Train interval n at state x and return (coarse endpoint, report).
+
+        In the zeroth sweep (iteration 0) the weights start from the previous
+        interval's, when it shares the basis.
+        """
+        last = self.last[n]
+        if last is not None and np.array_equal(last[0], x):
+            return last[1], last[2]
         basis = self.bases[n]
         theta_init = self.thetas[n]
-        if warm_from_previous_interval and n > 0 and self.bases[n - 1] is basis:
+        if iteration == 0 and n > 0 and self.bases[n - 1] is basis:
             # Weights only transfer between intervals sharing the basis.
             theta_init = self.thetas[n - 1]
         try:
             theta, report = train_coarse(basis, x, self.system, theta_init,
                                          self.config.lm)
         except TrainingError as exc:
-            exc.interval = n
-            exc.iteration = iteration
+            exc.interval, exc.iteration = n, iteration
             raise
         coarse = eval_network(basis, theta, x, basis.dt)
         self.thetas[n] = theta
-        self._last_input[n] = x.copy()
-        self._last_coarse[n] = coarse
-        self._last_report[n] = report
+        self.last[n] = (x.copy(), coarse, report)
         return coarse, report
+
+    def sweep(self, x0: np.ndarray, iteration: int, fine_values: np.ndarray | None = None
+              ) -> tuple[np.ndarray, list[TrainReport]]:
+        """One sequential coarse sweep from x0; returns the nodes and train reports.
+
+        Without fine values (the zeroth sweep) each node is the coarse value
+        of the interval before it.  With them each node is the
+        predictor-corrector update of that interval's fine value by its new
+        and previous coarse values.
+        """
+        nodes = np.empty((len(self.bases) + 1, self.system.dim))
+        nodes[0] = x0
+        reports: list[TrainReport] = []
+        for n in range(len(self.bases)):
+            last = self.last[n]  # the previous iterate's, before training replaces it
+            coarse, report = self.train_and_step(n, nodes[n], iteration)
+            nodes[n + 1] = (coarse if fine_values is None
+                            else correction_step(fine_values[n], coarse, last[1]))
+            reports.append(report)
+        return nodes, reports
 
 
 def zeroth_iterate(
     system: OdeSystem, x0: np.ndarray, mesh: TimeMesh, config: PararealConfig
-) -> tuple[np.ndarray, _CoarseTrainer, list[TrainReport], list[float]]:
+) -> tuple[np.ndarray, _CoarseTrainer, list[TrainReport]]:
     """Sequential coarse sweep producing starting values for every interval.
 
     Returns the node states (each one the coarse endpoint of the interval
-    before it), the trainer holding the bases and weights, the per-interval
-    train reports, and per-interval training times.
+    before it), the trainer holding the bases and weights, and the
+    per-interval train reports.
     """
-    x0 = np.asarray(x0, dtype=float)
     trainer = _CoarseTrainer(system, mesh, config)
-    n_int = mesh.n_intervals
-    nodes = np.empty((n_int + 1, system.dim))
-    nodes[0] = x0
-    reports: list[TrainReport] = []
-    train_times: list[float] = []
-    for n in range(n_int):
-        tic = time.perf_counter()
-        nodes[n + 1], report = trainer.train_and_step(
-            n, nodes[n], iteration=0, warm_from_previous_interval=True
-        )
-        train_times.append(time.perf_counter() - tic)
-        reports.append(report)
-    return nodes, trainer, reports, train_times
+    nodes, reports = trainer.sweep(np.asarray(x0, dtype=float), iteration=0)
+    return nodes, trainer, reports
 
 
 def parareal_solve(
@@ -266,13 +271,9 @@ def parareal_solve(
         step_count(float(length), config.fine.dt)  # validate divisibility early
 
     t_start = time.perf_counter()
-    prev_nodes, trainer, zeroth_reports, zeroth_times = zeroth_iterate(
-        system, x0, mesh, config
-    )
+    prev_nodes, trainer, zeroth_reports = zeroth_iterate(system, x0, mesh, config)
     t_zeroth = time.perf_counter() - t_start
 
-    n_int = mesh.n_intervals
-    coarse_cache = prev_nodes.copy()
     error_history: list[float] = []
     train_reports: list[list[TrainReport]] = [zeroth_reports]
     trace = [prev_nodes.copy()] if config.record_trace else None
@@ -283,10 +284,10 @@ def parareal_solve(
     i = 1
     while i < config.max_it and error > config.tol:
         tic = time.perf_counter()
-        fine_values = np.empty((n_int, system.dim))
-        for n in range(n_int):
+        fine_values = np.empty((mesh.n_intervals, system.dim))
+        for n, length in enumerate(lengths):
             try:
-                fine_values[n] = fine_propagate(system, prev_nodes[n], float(lengths[n]),
+                fine_values[n] = fine_propagate(system, prev_nodes[n], float(length),
                                                 config.fine)
             except SolverError as exc:
                 exc.interval, exc.iteration = n, i
@@ -294,15 +295,7 @@ def parareal_solve(
         fine_time += time.perf_counter() - tic
 
         tic = time.perf_counter()
-        new_nodes = np.empty_like(prev_nodes)
-        new_nodes[0] = x0
-        iteration_reports: list[TrainReport] = []
-        for n in range(n_int):
-            coarse, report = trainer.train_and_step(n, new_nodes[n], iteration=i)
-            new_nodes[n + 1] = correction_step(fine_values[n], coarse,
-                                               coarse_cache[n + 1])
-            coarse_cache[n + 1] = coarse
-            iteration_reports.append(report)
+        new_nodes, iteration_reports = trainer.sweep(x0, i, fine_values)
         error = stopping_error(new_nodes, prev_nodes)
         coarse_time += time.perf_counter() - tic
 
@@ -327,7 +320,6 @@ def parareal_solve(
             "fine_sweeps": fine_time,
             "coarse_sweeps": coarse_time,
             "total": total,
-            "zeroth_train_per_interval": zeroth_times,
         },
         train_reports=train_reports,
         trace=trace,
@@ -341,12 +333,11 @@ def evaluate_piecewise(result: PararealResult, t: float) -> np.ndarray:
     final node state; at t = t_N it is the final node state itself.
     """
     nodes_t = result.mesh.nodes
-    if t < nodes_t[0] or t > nodes_t[-1]:
+    if not nodes_t[0] <= t <= nodes_t[-1]:
         raise ValueError(f"t={t} outside [{nodes_t[0]}, {nodes_t[-1]}]")
     if t == nodes_t[-1]:
         return result.node_states[-1].copy()
     n = int(np.searchsorted(nodes_t, t, side="right")) - 1
-    n = max(n, 0)
     return eval_network(
         result.bases[n], result.thetas[n], result.node_states[n], t - nodes_t[n]
     )

@@ -67,9 +67,7 @@ class BurgersDiscretization:
     Its methods are the Burgers system's field, Jacobian and row field.
     """
 
-    grid_size: int
     viscosity: float
-    dx: float
     d1: Matrix
     d2: Matrix
 
@@ -271,7 +269,7 @@ def burgers_semidiscretize(
         d2[i, i - 1] = 1.0 / dx**2
         d2[i, i] = -2.0 / dx**2
         d2[i, i + 1] = 1.0 / dx**2
-    disc = BurgersDiscretization(n, nu, dx, d1, d2)
+    disc = BurgersDiscretization(nu, d1, d2)
     system = OdeSystem(
         n,
         disc.field,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collocation import collocation_nodes
+from .integrators import SolverError
 
 logger = logging.getLogger(__name__)
 
@@ -32,7 +33,7 @@ _COND_LIMIT = 1e14
 _MAX_RESAMPLES = 10
 
 
-class BasisConditioningError(Exception):
+class BasisConditioningError(SolverError):
     """All resampling attempts produced an ill-conditioned feature matrix."""
 
 

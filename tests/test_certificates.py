@@ -7,17 +7,14 @@ import pytest
 
 from rpnn_parareal import (
     SolverError,
-    defect,
-    defect_error_bound,
     field_log_norm_bound,
-    log_norm_2,
     make_benchmark,
     quadrature_certificate,
     sample_basis,
-    sensitivity_bound,
     train_coarse,
     collocation_grid,
 )
+from rpnn_parareal.certificates import defect, log_norm_2, sensitivity_bound
 from rpnn_parareal.rpnn import eval_network_many
 
 from conftest import constant_system, linear_system, zero_system
@@ -108,30 +105,6 @@ def test_field_log_norm_sir_finite():
 def test_field_log_norm_requires_samples():
     with pytest.raises(ValueError):
         field_log_norm_bound(make_benchmark("sir"), np.empty((0, 3)))
-
-
-def test_defect_error_bound_values():
-    assert defect_error_bound(0.0, 5.0, 3.0) == 0.0
-    assert defect_error_bound(1.0, 0.0, 2.0) == pytest.approx(2.0, rel=1e-14)
-    assert defect_error_bound(0.1, 1.0, 1.0) == pytest.approx(
-        0.1 * (np.e - 1.0), rel=1e-14
-    )
-    assert defect_error_bound(0.1, 1.0, 1.0) == pytest.approx(0.1718281828459045, rel=1e-12)
-
-
-def test_defect_error_bound_monotone_and_continuous():
-    for eps in (0.1, 0.5):
-        for m in (-2.0, 0.0, 1.5):
-            for t in (0.1, 1.0):
-                base = defect_error_bound(eps, m, t)
-                assert defect_error_bound(eps + 0.1, m, t) >= base
-                assert defect_error_bound(eps, m + 0.1, t) >= base
-                assert defect_error_bound(eps, m, t + 0.1) >= base
-    # series switch at |M t| = 1e-8
-    t = 1.0
-    below = defect_error_bound(1.0, 1e-8 * (1 - 1e-3), t)
-    above = defect_error_bound(1.0, 1e-8 * (1 + 1e-3), t)
-    assert abs(below - above) <= 1e-10 * above
 
 
 def test_sensitivity_bound_values():

@@ -15,11 +15,9 @@ from rpnn_parareal import (
     TimeMesh,
     burgers_semidiscretize,
     collocation_grid,
-    collocation_nodes,
     levenberg_marquardt,
     make_benchmark,
     parareal_solve,
-    quadrature_weights,
     residual,
     residual_jacobian,
     sample_basis,
@@ -31,6 +29,8 @@ from rpnn_parareal.collocation import (
     _max_row_norm,
     _unvec,
     _vec,
+    collocation_nodes,
+    quadrature_weights,
 )
 from rpnn_parareal.problems import BENCHMARK_NAMES, default_initial_state
 

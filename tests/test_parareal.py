@@ -1,5 +1,7 @@
 """Parareal driver: correction algebra, exactness, determinism, evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,16 @@ from rpnn_parareal import (
     StepFailure,
     TimeMesh,
     collocation_grid,
-    correction_step,
     evaluate_piecewise,
     fine_propagate,
     make_benchmark,
     parareal_solve,
     quadrature_certificate,
     serial_solve,
-    stopping_error,
     zeroth_iterate,
 )
-from rpnn_parareal.parareal import _CoarseTrainer
+from rpnn_parareal.parareal import _CoarseTrainer, correction_step, stopping_error
+from rpnn_parareal.cli import ExperimentConfig, build_solver
 
 from conftest import linear_system, zero_system
 
@@ -184,11 +185,11 @@ def test_initial_node_is_pinned_bitwise():
 def test_frozen_coarse_reduces_to_fine_sweep(monkeypatch):
     train_and_step = _CoarseTrainer.train_and_step
 
-    def frozen(self, n, x, iteration, warm_from_previous_interval=False):
+    def frozen(self, n, x, iteration):
         # After the zeroth sweep, every coarse value stays the one it produced.
         if iteration > 0:
-            return self._last_coarse[n], self._last_report[n]
-        return train_and_step(self, n, x, iteration, warm_from_previous_interval)
+            return self.last[n][1:]
+        return train_and_step(self, n, x, iteration)
 
     monkeypatch.setattr(_CoarseTrainer, "train_and_step", frozen)
     system = make_benchmark("sir")
@@ -201,6 +202,73 @@ def test_frozen_coarse_reduces_to_fine_sweep(monkeypatch):
     for n in range(5):
         fine = fine_propagate(system, zeroth[n], 1.0, config.fine)
         assert np.array_equal(after[n + 1], fine)
+
+
+def _two_loop_solve(system, x0, mesh, config):
+    """An earlier driver that held each interval's previous coarse value in
+    its own cache and wrote the zeroth sweep as a second loop."""
+    x0 = np.asarray(x0, dtype=float)
+    lengths = mesh.lengths
+    trainer = _CoarseTrainer(system, mesh, config)
+    n_int = mesh.n_intervals
+    prev_nodes = np.empty((n_int + 1, system.dim))
+    prev_nodes[0] = x0
+    zeroth_reports = []
+    for n in range(n_int):
+        prev_nodes[n + 1], report = trainer.train_and_step(n, prev_nodes[n], iteration=0)
+        zeroth_reports.append(report)
+
+    coarse_cache = prev_nodes.copy()
+    error_history = []
+    train_reports = [zeroth_reports]
+    trace = [prev_nodes.copy()]
+    error = config.tol + 1.0
+    i = 1
+    while i < config.max_it and error > config.tol:
+        fine_values = np.empty((n_int, system.dim))
+        for n in range(n_int):
+            fine_values[n] = fine_propagate(system, prev_nodes[n], float(lengths[n]),
+                                            config.fine)
+        new_nodes = np.empty_like(prev_nodes)
+        new_nodes[0] = x0
+        iteration_reports = []
+        for n in range(n_int):
+            coarse, report = trainer.train_and_step(n, new_nodes[n], iteration=i)
+            new_nodes[n + 1] = correction_step(fine_values[n], coarse,
+                                               coarse_cache[n + 1])
+            coarse_cache[n + 1] = coarse
+            iteration_reports.append(report)
+        error = stopping_error(new_nodes, prev_nodes)
+        prev_nodes = new_nodes
+        error_history.append(error)
+        train_reports.append(iteration_reports)
+        trace.append(prev_nodes.copy())
+        i += 1
+    return prev_nodes, error_history, trace, train_reports
+
+
+_PINNED_RUNS = {
+    "sir": {"benchmark": "sir", "rpnn": {"seed": 0}},
+    "lorenz-20": {"benchmark": "lorenz", "t_end": 0.8,
+                  "mesh": {"kind": "uniform", "intervals": 20}, "rpnn": {"seed": 0}},
+    "arenstorf-short": {"benchmark": "arenstorf", "t_end": 1.632,
+                        "mesh": {"kind": "uniform", "intervals": 12}, "rpnn": {"seed": 0}},
+    "rober-reduced": {"benchmark": "rober", "t_end": 10.0, "fine": {"dt": 1e-3},
+                      "mesh": {"kind": "blocks", "blocks": [[0.0, 1.0, 10], [1.0, 10.0, 5]]},
+                      "rpnn": {"seed": 1}},
+}
+
+
+@pytest.mark.parametrize("settings", _PINNED_RUNS.values(), ids=_PINNED_RUNS.keys())
+def test_one_sweep_driver_matches_two_loop_driver_bitwise(settings):
+    system, x0, mesh, config = build_solver(ExperimentConfig.from_dict(settings))
+    config = dataclasses.replace(config, record_trace=True)
+    nodes, error_history, trace, train_reports = _two_loop_solve(system, x0, mesh, config)
+    result = parareal_solve(system, x0, mesh, config)
+    assert np.array_equal(result.node_states, nodes)
+    assert np.array_equal(result.error_history, error_history)
+    assert np.array_equal(result.trace, trace)
+    assert result.train_reports == train_reports
 
 
 def test_error_history_reproducible():
@@ -256,9 +324,8 @@ def test_result_bookkeeping():
     assert len(result.thetas) == 3 and len(result.bases) == 3
     assert len(result.train_reports[0]) == 3  # zeroth sweep
     timings = result.timings
-    for key in ("zeroth_sweep", "fine_sweeps", "coarse_sweeps", "total"):
-        assert timings[key] >= 0.0
-    assert len(timings["zeroth_train_per_interval"]) == 3
+    assert set(timings) == {"zeroth_sweep", "fine_sweeps", "coarse_sweeps", "total"}
+    assert all(value >= 0.0 for value in timings.values())
 
 
 def test_uniform_mesh_shares_one_basis():
@@ -322,6 +389,8 @@ def test_piecewise_outside_domain_rejected():
         evaluate_piecewise(result, -0.1)
     with pytest.raises(ValueError):
         evaluate_piecewise(result, 5.1)
+    with pytest.raises(ValueError):
+        evaluate_piecewise(result, float("nan"))
 
 
 def test_piecewise_decay_within_certificate_budget():
