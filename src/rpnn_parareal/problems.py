@@ -28,10 +28,12 @@ class OdeSystem:
     `dim`.  The package's small closed-form systems write their field and
     Jacobian once on Python floats (see `_on_floats`), which is faster than
     numpy at this size and rounds every operation the same way.  Their
-    `field` carries that float form as `field.floats(values: list) -> list`;
-    RK4 calls it, and runs any other field through an array adapter.  The
-    float form rides on the callable, so a copy whose `field` is replaced
-    loses it.
+    `field` and `jacobian` carry that float form as `.floats(values: list)`,
+    which returns a list (a list of rows for the Jacobian).  RK4 calls the
+    field's, and runs any other field through an array adapter; implicit
+    Euler runs on floats when both have one, and on arrays otherwise.  The
+    float form rides on the callable, so a copy whose `field` or `jacobian`
+    is replaced loses it.
     """
 
     dim: int
@@ -85,13 +87,13 @@ def _on_floats(terms: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:
     """`terms(x)` as an array, evaluated on the Python floats of x.
 
     The float form rides on the returned callable as its `floats`
-    attribute, `floats(values: list) -> list`, which the RK4 loop of
-    `integrators.fine_propagate` calls without building arrays.  Python
-    floats raise where numpy returns inf or nan (a division by zero, an
-    overflowing power); there `terms` runs again on numpy scalars, so the
-    non-finite value reaches the caller's finiteness check.  Both
-    evaluations round every operation the same way, so the values are
-    bitwise equal.
+    attribute, `floats(values: list) -> list`, which the RK4 and implicit
+    Euler loops of `integrators.fine_propagate` call without building
+    arrays.  Python floats raise where numpy returns inf or nan (a division
+    by zero, an overflowing power); there `terms` runs again on numpy
+    scalars, so the non-finite value reaches the caller's finiteness
+    check.  Both evaluations round every operation the same way, so the
+    values are bitwise equal.
     """
 
     def floats(values):
@@ -101,7 +103,8 @@ def _on_floats(terms: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:
             return terms(np.array(values))
 
     # Calls `terms`, not `floats`: one call fewer on the array path, which
-    # implicit Euler and training take about 58 000 times per ROBER solve.
+    # training takes about 16 000 times each for the field and the Jacobian
+    # in a solve of the benchmark's `rober-reduced`.
     def evaluate(x):
         try:
             return np.array(terms(x.tolist()))

@@ -158,3 +158,21 @@ def test_bench_traced_system_counts_four_field_calls_per_rk4_step():
     got = traced(rec.system(system), x, steps * dt, method)
     assert spans.SpanTable(rec).leaves_under(["field"]) == 4 * steps
     assert np.array_equal(got, fine_propagate(system, x, steps * dt, method))
+
+
+def test_bench_traced_system_propagates_rober_implicit_euler_bitwise():
+    """The traced copy's field and Jacobian have no float forms, so implicit
+    Euler runs on arrays and counts one Jacobian call per Newton iteration
+    and one field call more per step; it propagates to the float path's bits."""
+    spans = _load_spans()
+    rec = spans.SpanRecorder()
+    system = make_benchmark("rober")
+    x, steps, dt = default_initial_state("rober"), 200, 1e-3
+    method = FineMethod("implicit-euler", dt)
+    traced = rec.wrap("integrators.fine_propagate", fine_propagate)
+    got = traced(rec.system(system), x, steps * dt, method)
+    table = spans.SpanTable(rec)
+    newton_iters = table.leaves_under(["jacobian"])
+    assert newton_iters >= steps
+    assert table.leaves_under(["field"]) == steps + newton_iters
+    assert np.array_equal(got, fine_propagate(system, x, steps * dt, method))

@@ -1,5 +1,7 @@
 """Fine integrators: hand-derived single steps, order checks, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,36 @@ def test_fine_propagate_equals_textbook_array_rk4_bitwise(name, dt, steps):
     assert np.array_equal(got, _textbook_rk4(system.field, x, dt, steps))
 
 
+def _without_float_forms(system):
+    """A copy whose field and Jacobian carry no float forms, so implicit Euler
+    keeps arrays for it."""
+    return dataclasses.replace(system, field=lambda x: system.field(x),
+                               jacobian=lambda x: system.jacobian(x))
+
+
+@pytest.mark.parametrize(
+    "name, dt, steps",
+    [
+        pytest.param("sir", 1e-2, 200, id="sir"),
+        pytest.param("rober", 1e-3, 200, id="rober"),
+        pytest.param("lorenz", 1e-3, 200, id="lorenz"),
+        pytest.param("arenstorf", 17.0 / 80000.0, 200, id="arenstorf"),
+        pytest.param("brusselator", 1e-2, 200, id="brusselator"),
+    ],
+)
+def test_implicit_euler_float_path_equals_array_path_bitwise(name, dt, steps):
+    system = make_benchmark(name)
+    arrays = _without_float_forms(system)
+    assert not hasattr(arrays.field, "floats") and not hasattr(arrays.jacobian, "floats")
+    x = default_initial_state(name)
+    method = FineMethod("implicit-euler", dt)
+    got = fine_propagate(system, x, steps * dt, method)
+    assert np.array_equal(got, fine_propagate(arrays, x, steps * dt, method))
+    one = fine_propagate(system, x, dt, method)
+    assert np.array_equal(implicit_euler_step(system, x, dt), one)
+    assert np.array_equal(implicit_euler_step(arrays, x, dt), one)
+
+
 # The primary and near-primary states make Python floats raise, so the float
 # form falls back to numpy scalars; at the far state r**1.5 overflows.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -222,6 +254,63 @@ def test_implicit_euler_nonconvergence_signal():
     with pytest.raises(NewtonNonconvergence) as info:
         implicit_euler_step(system, np.array([2.0]), 10.0, NewtonOptions(tol=1e-15, max_iter=1))
     assert info.value.residual > 0
+
+
+def _decay_systems():
+    """x' = -x built by hand on arrays and through float forms."""
+    return [OdeSystem(1, lambda x: -x, lambda x: -np.eye(1), "decay"),
+            OdeSystem(1, _on_floats(lambda x: [-x[0]]), _on_floats(lambda x: [[-1.0]]),
+                      "decay")]
+
+
+# ||x|| ** 2 overflows above about 1.3e154; a norm taken as the root of the
+# sum of squares read inf for both the threshold and the residual, and
+# inf <= inf accepted y = x without a Newton step.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("system", _decay_systems(), ids=["arrays", "float-form"])
+def test_implicit_euler_takes_newton_steps_on_large_states(system):
+    y = implicit_euler_step(system, np.array([1e200]), 0.5)
+    assert y[0] == pytest.approx(1e200 / 1.5, rel=1e-15)
+    y = fine_propagate(system, np.array([1e200]), 1.0, FineMethod("implicit-euler", 0.5))
+    assert y[0] == pytest.approx(1e200 / 1.5 ** 2, rel=1e-15)
+
+
+def _newton_failure(system, x, h, newton=None):
+    with pytest.raises(NewtonNonconvergence) as info:
+        implicit_euler_step(system, np.array(x), h, newton)
+    return info.value
+
+
+# Each failure is raised on the float path and, with the same message and
+# residual, on the array path of a copy without float forms.
+def test_implicit_euler_float_path_reports_stall():
+    system = make_benchmark("rober")
+    assert hasattr(system.field, "floats") and hasattr(system.jacobian, "floats")
+    opts = NewtonOptions(tol=1e-300, max_iter=1)
+    exc = _newton_failure(system, [1.0, 0.0, 0.0], 1e-3, opts)
+    assert "stalled" in str(exc) and exc.residual > 0
+    same = _newton_failure(_without_float_forms(system), [1.0, 0.0, 0.0], 1e-3, opts)
+    assert (str(same), same.residual) == (str(exc), exc.residual)
+
+
+# x' = x**3 at x = 1e120: the cube overflows to inf on Python floats too, so
+# the residual is -inf and the first Newton iterate 1e120 - inf.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_implicit_euler_float_path_reports_nonfinite_iterate():
+    system = OdeSystem(1, _on_floats(lambda x: [x[0] * x[0] * x[0]]),
+                       _on_floats(lambda x: [[3.0 * x[0] * x[0]]]), "cube")
+    exc = _newton_failure(system, [1e120], 1.0)
+    assert "non-finite" in str(exc)
+    same = _newton_failure(_without_float_forms(system), [1e120], 1.0)
+    assert (str(same), same.residual) == (str(exc), exc.residual)
+
+
+def test_implicit_euler_float_path_reports_singular_matrix():
+    system = OdeSystem(1, _on_floats(lambda x: [x[0]]), _on_floats(lambda x: [[1.0]]), "grow")
+    exc = _newton_failure(system, [1.0], 1.0)
+    assert "singular" in str(exc) and exc.residual == 1.0
+    same = _newton_failure(_without_float_forms(system), [1.0], 1.0)
+    assert (str(same), same.residual) == (str(exc), exc.residual)
 
 
 @pytest.mark.parametrize("lam", [-1.0, -1e3, -1e6])

@@ -7,6 +7,8 @@ import pytest
 
 from rpnn_parareal import (
     FineMethod,
+    NewtonNonconvergence,
+    OdeSystem,
     PararealConfig,
     StepFailure,
     TimeMesh,
@@ -21,6 +23,7 @@ from rpnn_parareal import (
 )
 from rpnn_parareal.parareal import _CoarseTrainer, correction_step, stopping_error
 from rpnn_parareal.cli import ExperimentConfig, build_solver
+from rpnn_parareal.problems import _on_floats
 
 from conftest import linear_system, zero_system
 
@@ -304,6 +307,26 @@ def test_fine_sweep_failure_carries_interval_and_iteration():
         parareal_solve(system, np.array([1.0]), mesh, _config(0.5, seed=0))
     assert info.value.interval == 1
     assert info.value.iteration == 1
+
+
+# x' = 1 / (2 - x) from 0 has a pole at t = 2, and an implicit Euler step of
+# size h from x has a solution only while (2 - x)**2 >= 4h.  The first
+# interval ends at 2 - sqrt(2); the second runs past x = 1.37, where Newton
+# finds no root.  The float-form system and its array copy fail alike.
+def test_implicit_euler_fine_sweep_failure_carries_interval_and_iteration():
+    pole = OdeSystem(1, _on_floats(lambda x: [1.0 / (2.0 - x[0])]),
+                     _on_floats(lambda x: [[1.0 / ((2.0 - x[0]) * (2.0 - x[0]))]]), "pole")
+    arrays = dataclasses.replace(pole, field=lambda x: pole.field(x),
+                                 jacobian=lambda x: pole.jacobian(x))
+    mesh = TimeMesh.from_blocks([(0.0, 1.0, 1), (1.0, 2.5, 1)])
+    config = PararealConfig(fine=FineMethod("implicit-euler", 0.1), seed=0)
+    failures = []
+    for system in (pole, arrays):
+        with pytest.raises(NewtonNonconvergence) as info:
+            parareal_solve(system, np.array([0.0]), mesh, config)
+        assert (info.value.interval, info.value.iteration) == (1, 1)
+        failures.append((str(info.value), info.value.residual))
+    assert "stalled" in failures[0][0] and failures[0] == failures[1]
 
 
 def test_sir_converges_in_fewer_iterations_than_intervals():
