@@ -15,7 +15,7 @@ import numpy as np
 
 from .collocation import CollocationGrid
 from .integrators import SolverError
-from .problems import OdeSystem
+from .problems import OdeSystem, evaluate_rows
 from .rpnn import RpnnBasis, eval_network, eval_network_derivative
 
 # Number of uniform sample points used for the finite-difference estimate of
@@ -69,7 +69,7 @@ def field_log_norm_bound(system: OdeSystem, states: np.ndarray) -> float:
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.size == 0:
         raise ValueError("need at least one sample state")
-    return max(log_norm_2(system.jacobian(z)) for z in states)
+    return max(map(log_norm_2, evaluate_rows(system.jacobian, states)))
 
 
 def sensitivity_bound(log_norm: float, dt: float) -> float:

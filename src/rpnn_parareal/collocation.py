@@ -10,11 +10,12 @@ respect to vec(theta) (column stacking) is
 
     I_d (x) Hp - dvecF/dvecX . (I_d (x) (H - H0)),
 
-square when there are as many hidden units as collocation nodes.  The trainer
-works on this dense Jacobian for every system and has two modes.  The exact
-fit solves G = 0 by Newton's method, damping only after a rejected step.  The
-regularized fit keeps Marquardt damping on throughout, so that a stiff
-transient the ansatz cannot resolve still gets weights of moderate size.
+square when there are as many hidden units as collocation nodes; F and DF are
+evaluated on all C node states at once (`field_rows`, `evaluate_rows`).  The
+trainer works on this dense Jacobian for every system and has two modes.
+The exact fit solves G = 0 by Newton's method, damping only after a rejected
+step.  The regularized fit keeps Marquardt damping on throughout, so that a
+stiff transient the ansatz cannot resolve still gets weights of moderate size.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .integrators import SolverError
-from .problems import BurgersDiscretization, OdeSystem
+from .problems import BurgersDiscretization, OdeSystem, evaluate_rows
 
 if TYPE_CHECKING:
     from .rpnn import RpnnBasis
@@ -161,14 +162,8 @@ def collocation_states(basis: "RpnnBasis", theta: np.ndarray, x0: np.ndarray) ->
 def residual(
     basis: "RpnnBasis", theta: np.ndarray, x0: np.ndarray, system: OdeSystem
 ) -> np.ndarray:
-    """Collocation residual G = Hp theta - F(states), one row per node."""
-    states = collocation_states(basis, theta, x0)
-    if system.field_rows is not None:
-        f_rows = system.field_rows(states)
-    else:
-        f_rows = np.empty_like(states)
-        for c in range(states.shape[0]):
-            f_rows[c] = system.field(states[c])
+    """Collocation residual G = Hp theta - F(states), F from `system.field_rows`."""
+    f_rows = system.field_rows(collocation_states(basis, theta, x0))
     if not np.all(np.isfinite(f_rows)):
         raise TrainingError("vector field returned non-finite values at collocation states")
     return basis.feat_prime @ theta - f_rows
@@ -180,14 +175,13 @@ def residual_jacobian(
     """Dense Jacobian of vec(G) w.r.t. vec(theta), shape (C*d, H*d).
 
     Entry ((j, c), (k, h)) is delta_jk Hp[c, h] - DF(state_c)[j, k] Hm[c, h].
-    Only `system.jacobian` is read.
+    DF comes from `evaluate_rows`; only `system.jacobian` is read, so
+    `system` may be a `BurgersDiscretization`.
     """
     hp, hm = basis.feat_prime, basis.feat_shifted
     states = collocation_states(basis, theta, x0)
     (c_count, d), h_count = states.shape, hp.shape[1]
-    jacs = np.empty((c_count, d, d))
-    for c in range(c_count):
-        jacs[c] = system.jacobian(states[c])
+    jacs = evaluate_rows(system.jacobian, states)
     # Axes (j, c, k, h): rows of vec(G) are (j, c), columns of vec(theta) (k, h).
     # Built in one (C*d, H*d) buffer; entry by entry this is
     # delta_jk * Hp - DF * Hm, with 0 * Hp off the diagonal blocks, so that

@@ -8,6 +8,7 @@ immutable after construction and safe to evaluate concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -33,7 +34,8 @@ class OdeSystem:
     field's, and runs any other field through an array adapter; implicit
     Euler runs on floats when both have one, and on arrays otherwise.  The
     float form rides on the callable, so a copy whose `field` or `jacobian`
-    is replaced loses it.
+    is replaced loses it, but keeps `field_rows` (the field on each row of
+    a C x d matrix of states, as training needs it) unless given anew.
     """
 
     dim: int
@@ -43,17 +45,17 @@ class OdeSystem:
     params: dict[str, float] = dc_field(default_factory=dict)
     labels: tuple[str, ...] = ()
     # The Burgers system's `BurgersDiscretization`, which owns its callables.
-    # Nothing in the package reads it; it is kept for the benchmark script
-    # `bench/run.py`, which builds `BurgersJacobianOperator` from it, until
-    # that script times `residual_jacobian` directly.
+    # Nothing in the package reads it; the benchmark script `bench/run.py`
+    # builds `BurgersJacobianOperator` from it.
     spatial: "BurgersDiscretization | None" = None
-    # Optional batched evaluation of the field on the rows of a matrix of
-    # states; only worth wiring up when a single closed form covers it.
+    # Burgers passes its matrix form; left out, it is `evaluate_rows` on `field`.
     field_rows: "Callable[[Matrix], Matrix] | None" = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
+        if self.field_rows is None:
+            object.__setattr__(self, "field_rows", partial(evaluate_rows, self.field))
         if not self.labels:
             object.__setattr__(
                 self, "labels", tuple(f"x{i + 1}" for i in range(self.dim))
@@ -83,17 +85,26 @@ class BurgersDiscretization:
         return -states * (states @ self.d1.T) + self.viscosity * (states @ self.d2.T)
 
 
+def evaluate_rows(fn: Callable[[Vector], np.ndarray], states: Matrix) -> np.ndarray:
+    """`fn` at each row of `states`, stacked (C x d x d for a Jacobian), each
+    bitwise `fn(row)`: through `fn.floats` if it has one, else `fn` per row."""
+    floats = getattr(fn, "floats", None)
+    if floats is None:
+        return np.array([fn(row) for row in states])
+    return np.array([floats(row) for row in states.tolist()])
+
+
 def _on_floats(terms: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:
     """`terms(x)` as an array, evaluated on the Python floats of x.
 
     The float form rides on the returned callable as its `floats`
     attribute, `floats(values: list) -> list`, which the RK4 and implicit
-    Euler loops of `integrators.fine_propagate` call without building
-    arrays.  Python floats raise where numpy returns inf or nan (a division
-    by zero, an overflowing power); there `terms` runs again on numpy
-    scalars, so the non-finite value reaches the caller's finiteness
-    check.  Both evaluations round every operation the same way, so the
-    values are bitwise equal.
+    Euler loops of `integrators.fine_propagate` and `evaluate_rows` call
+    without building an array per state.  Python floats raise where numpy
+    returns inf or nan (a division by zero, an overflowing power); there
+    `terms` runs again on numpy scalars, so the non-finite value reaches
+    the caller's finiteness check.  Both evaluations round every operation
+    the same way, so the values are bitwise equal.
     """
 
     def floats(values):
@@ -102,14 +113,8 @@ def _on_floats(terms: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:
         except (ZeroDivisionError, OverflowError):
             return terms(np.array(values))
 
-    # Calls `terms`, not `floats`: one call fewer on the array path, which
-    # training takes about 16 000 times each for the field and the Jacobian
-    # in a solve of the benchmark's `rober-reduced`.
     def evaluate(x):
-        try:
-            return np.array(terms(x.tolist()))
-        except (ZeroDivisionError, OverflowError):
-            return np.array(terms(x))
+        return np.array(floats(x.tolist()))
 
     evaluate.floats = floats
     return evaluate

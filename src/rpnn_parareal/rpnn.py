@@ -27,8 +27,9 @@ logger = logging.getLogger(__name__)
 # trainer stays well posed.  Invertibility holds with probability one; good
 # conditioning does not.  The limit leaves room for short intervals, where
 # cond grows like (1/dt)^(C-1) for every draw (at dt = 1e-2 the median draw
-# is already ~1e13): the trainer's rank-revealing solves tolerate that, and a
-# tighter gate would reject every draw on the benchmark meshes.
+# is already ~1e13), and a tighter gate would reject every draw on the
+# benchmark meshes.  The exact fit takes LU Newton steps there (least squares
+# only on a singular Jacobian); the regularized fit solves damped least squares.
 _COND_LIMIT = 1e14
 _MAX_RESAMPLES = 10
 

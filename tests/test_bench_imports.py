@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rpnn_parareal import (BurgersJacobianOperator, FineMethod, fine_propagate,
-                           levenberg_marquardt, make_benchmark, parareal_solve, residual)
+from rpnn_parareal import (BurgersJacobianOperator, FineMethod, LmOptions, fine_propagate,
+                           levenberg_marquardt, make_benchmark, parareal_solve, residual,
+                           sample_basis, train_coarse)
 from rpnn_parareal.cli import build_solver
 from rpnn_parareal.problems import default_initial_state
 
@@ -176,3 +177,26 @@ def test_bench_traced_system_propagates_rober_implicit_euler_bitwise():
     assert newton_iters >= steps
     assert table.leaves_under(["field"]) == steps + newton_iters
     assert np.array_equal(got, fine_propagate(system, x, steps * dt, method))
+
+
+def test_bench_traced_system_trains_rober_through_field_rows():
+    """Training evaluates the field only through `field_rows`, so the counted
+    copy sees one `field_rows` call per residual and no `field` call, and
+    its Jacobian once per collocation state; it trains to the plain system's
+    bits."""
+    spans = _load_spans()
+    rec = spans.SpanRecorder()
+    system = make_benchmark("rober")
+    basis = sample_basis(5, 5, 0.1, seed=1)
+    x0 = default_initial_state("rober")
+    opts = LmOptions(floor_to_gauss_newton=False)
+    traced = rec.wrap("collocation.train_coarse", train_coarse)
+    theta, report = traced(basis, x0, rec.system(system), None, opts)
+    plain_theta, plain_report = train_coarse(basis, x0, system, None, opts)
+    assert np.array_equal(theta, plain_theta)
+    assert report == plain_report
+    table = spans.SpanTable(rec)
+    assert table.leaves_under(["field"]) == 0
+    assert table.leaves_under(["field_rows"]) == 1 + report.iterations
+    jacobian_calls = table.leaves_under(["jacobian"])
+    assert jacobian_calls > 0 and jacobian_calls % basis.colloc == 0

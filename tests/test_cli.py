@@ -355,6 +355,7 @@ _BAD_SIR_SETTINGS = {
     "fractional-seed": {"rpnn": {"seed": 0.7}},
     "fractional-max_it": {"max_it": 2.5},
     "fractional-newton_max_iter": {"fine": {"newton_max_iter": 3.5}},
+    "overflowing-step-count": {"t_end": 1e308, "fine": {"dt": 1e-10}},
 }
 
 

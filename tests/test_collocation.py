@@ -11,6 +11,7 @@ from rpnn_parareal import (
     BurgersJacobianOperator,
     FineMethod,
     LmOptions,
+    OdeSystem,
     PararealConfig,
     TimeMesh,
     burgers_semidiscretize,
@@ -32,7 +33,7 @@ from rpnn_parareal.collocation import (
     collocation_nodes,
     quadrature_weights,
 )
-from rpnn_parareal.problems import BENCHMARK_NAMES, default_initial_state
+from rpnn_parareal.problems import BENCHMARK_NAMES, _on_floats, default_initial_state
 
 from conftest import constant_system, linear_system, sample_benchmark_state, zero_system
 
@@ -141,6 +142,17 @@ def test_residual_constant_field_rows():
     system = constant_system(c)
     g = residual(basis, np.zeros((5, 2)), np.zeros(2), system)
     np.testing.assert_array_equal(g, np.tile(-c, (5, 1)))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+def test_residual_at_a_float_form_pole_is_a_training_error():
+    # 1 / (2 - x) divides by zero on Python floats at x = 2; the float form
+    # retries on numpy scalars, and the inf it returns fails the finiteness check.
+    pole = OdeSystem(1, _on_floats(lambda x: [1.0 / (2.0 - x[0])]),
+                     _on_floats(lambda x: [[1.0 / ((2.0 - x[0]) * (2.0 - x[0]))]]), "pole")
+    basis = sample_basis(5, 5, 1.0, seed=0)
+    with pytest.raises(TrainingError, match="non-finite"):
+        residual(basis, np.zeros((5, 1)), np.array([2.0]), pole)
 
 
 def test_residual_scalar_entry_formula():

@@ -1,6 +1,7 @@
 """Fine integrators: hand-derived single steps, order checks, invariants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rpnn_parareal import (
     rk4_step,
     serial_solve,
 )
+from rpnn_parareal.integrators import step_count
 from rpnn_parareal.problems import _on_floats, default_initial_state
 
 from conftest import constant_system, linear_system, sample_benchmark_state, zero_system
@@ -348,6 +350,10 @@ def test_fine_propagate_rejects_fractional_step_count():
     system = linear_system(-1.0)
     with pytest.raises(ValueError):
         fine_propagate(system, np.array([1.0]), 1.0, FineMethod("rk4", 0.3))
+    # a ratio that overflows to inf has no integral step count either
+    for length, dt in ((math.inf, 1.0), (1.0, 1e-320)):
+        with pytest.raises(ValueError):
+            step_count(length, dt)
 
 
 def test_fine_propagate_accepts_float_dust_ratios():

@@ -15,9 +15,10 @@ from rpnn_parareal.problems import (
     BENCHMARK_NAMES,
     burgers_initial_condition,
     default_initial_state,
+    evaluate_rows,
 )
 
-from conftest import central_fd_jacobian, sample_benchmark_state
+from conftest import central_fd_jacobian, linear_system, sample_benchmark_state
 
 
 def test_sir_field_hand_value():
@@ -47,23 +48,43 @@ def test_sir_jacobian_hand_entry():
     assert jac[0, 0] == pytest.approx(-0.05, rel=1e-14)
 
 
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_linear_system_jacobian_is_constant():
     a = np.array([[1.0, 2.0], [-3.0, 0.5]])
     system = OdeSystem(2, lambda x: a @ x, lambda x: a.copy(), "lin")
-    for x in (np.zeros(2), np.array([3.0, -7.0])):
+    states = np.array([[0.0, 0.0], [3.0, -7.0]])
+    for x in states:
         np.testing.assert_array_equal(system.jacobian(x), a)
+    # Array-only systems take the row path one call per row.
+    assert _bitwise_equal(evaluate_rows(system.jacobian, states), np.array([a, a]))
+    assert _bitwise_equal(system.field_rows(states), np.array([a @ x for x in states]))
+    scalar = linear_system(-2.0)
+    column = np.array([[0.5], [-3.0]])
+    assert _bitwise_equal(scalar.field_rows(column), -2.0 * column)
+    assert _bitwise_equal(evaluate_rows(scalar.jacobian, column), np.full((2, 1, 1), -2.0))
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES)
 def test_jacobian_matches_finite_differences(name):
+    """The analytic Jacobian matches central differences, and the row path
+    gives each state's Jacobian bitwise (and, on the closed-form systems,
+    each state's field; the Burgers matrix form is checked to 1e-12 below)."""
     system = make_benchmark(name)
     rng = np.random.default_rng(42)
-    for _ in range(20):
-        x = sample_benchmark_state(name, rng, system)
+    states = np.array([sample_benchmark_state(name, rng, system) for _ in range(20)])
+    for x in states:
         analytic = system.jacobian(x)
         fd = central_fd_jacobian(system.field, x)
         err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         assert err <= 1e-6, f"{name}: rel err {err:.2e}"
+    assert _bitwise_equal(evaluate_rows(system.jacobian, states),
+                          np.array([system.jacobian(x) for x in states]))
+    if name != "burgers":
+        assert _bitwise_equal(system.field_rows(states),
+                              np.array([system.field(x) for x in states]))
 
 
 def test_benchmark_defaults_match_setups():
