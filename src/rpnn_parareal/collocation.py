@@ -10,8 +10,8 @@ respect to vec(theta) (column stacking) is
 
     I_d (x) Hp - dvecF/dvecX . (I_d (x) (H - H0)),
 
-square when there are as many hidden units as collocation nodes; F and DF are
-evaluated on all C node states at once (`field_rows`, `evaluate_rows`).  The
+square when there are as many hidden units as collocation nodes; F and DF on
+the C node states come from `system.field_rows` and `evaluate_rows`.  The
 trainer works on this dense Jacobian for every system and has two modes.
 The exact fit solves G = 0 by Newton's method, damping only after a rejected
 step.  The regularized fit keeps Marquardt damping on throughout, so that a

@@ -226,9 +226,11 @@ def _newton_solve(matrix: np.ndarray, g, g_norm: float) -> np.ndarray:
 
 
 def step_count(length: float, dt: float) -> int:
-    """Number of fine steps covering `length`; the ratio must be finite and integral."""
+    """Number of fine steps covering `length`, validating divisibility."""
     ratio = length / dt
-    count = int(round(ratio)) if math.isfinite(ratio) else 0
+    if not math.isfinite(ratio):
+        raise ValueError(f"interval length {length!r} / fine step {dt!r} is not finite")
+    count = int(round(ratio))
     if count < 1 or abs(ratio - count) > _STEP_COUNT_RTOL * max(1.0, abs(ratio)):
         raise ValueError(
             f"interval length {length!r} is not an integer multiple of the "

@@ -34,8 +34,9 @@ class OdeSystem:
     field's, and runs any other field through an array adapter; implicit
     Euler runs on floats when both have one, and on arrays otherwise.  The
     float form rides on the callable, so a copy whose `field` or `jacobian`
-    is replaced loses it, but keeps `field_rows` (the field on each row of
-    a C x d matrix of states, as training needs it) unless given anew.
+    is replaced loses it.  Training reads the field on the rows of a C x d
+    matrix of states through `field_rows`; left out, it is `evaluate_rows`
+    on `field`, and it stays so in a copy whose `field` is replaced.
     """
 
     dim: int
@@ -54,7 +55,8 @@ class OdeSystem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        if self.field_rows is None:
+        # The default row form follows `field`, also in a `dataclasses.replace` copy.
+        if self.field_rows is None or getattr(self.field_rows, "func", None) is evaluate_rows:
             object.__setattr__(self, "field_rows", partial(evaluate_rows, self.field))
         if not self.labels:
             object.__setattr__(
@@ -86,12 +88,8 @@ class BurgersDiscretization:
 
 
 def evaluate_rows(fn: Callable[[Vector], np.ndarray], states: Matrix) -> np.ndarray:
-    """`fn` at each row of `states`, stacked (C x d x d for a Jacobian), each
-    bitwise `fn(row)`: through `fn.floats` if it has one, else `fn` per row."""
-    floats = getattr(fn, "floats", None)
-    if floats is None:
-        return np.array([fn(row) for row in states])
-    return np.array([floats(row) for row in states.tolist()])
+    """`fn` at each row of `states`, stacked (C x d x d for a Jacobian)."""
+    return np.array([fn(row) for row in states])
 
 
 def _on_floats(terms: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:
@@ -99,12 +97,12 @@ def _on_floats(terms: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:
 
     The float form rides on the returned callable as its `floats`
     attribute, `floats(values: list) -> list`, which the RK4 and implicit
-    Euler loops of `integrators.fine_propagate` and `evaluate_rows` call
-    without building an array per state.  Python floats raise where numpy
-    returns inf or nan (a division by zero, an overflowing power); there
-    `terms` runs again on numpy scalars, so the non-finite value reaches
-    the caller's finiteness check.  Both evaluations round every operation
-    the same way, so the values are bitwise equal.
+    Euler loops of `integrators.fine_propagate` call without building
+    arrays.  Python floats raise where numpy returns inf or nan (a division
+    by zero, an overflowing power); there `terms` runs again on numpy
+    scalars, so the non-finite value reaches the caller's finiteness
+    check.  Both evaluations round every operation the same way, so the
+    values are bitwise equal.
     """
 
     def floats(values):

@@ -1,5 +1,7 @@
 """Benchmark systems: hand-checked values, Jacobian oracles, error handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,9 @@ def test_linear_system_jacobian_is_constant():
     # Array-only systems take the row path one call per row.
     assert _bitwise_equal(evaluate_rows(system.jacobian, states), np.array([a, a]))
     assert _bitwise_equal(system.field_rows(states), np.array([a @ x for x in states]))
+    # A copy with a new field evaluates the new field on the rows.
+    doubled = dataclasses.replace(system, field=lambda x: 2.0 * (a @ x))
+    assert _bitwise_equal(doubled.field_rows(states), np.array([2.0 * (a @ x) for x in states]))
     scalar = linear_system(-2.0)
     column = np.array([[0.5], [-3.0]])
     assert _bitwise_equal(scalar.field_rows(column), -2.0 * column)
