@@ -3,16 +3,17 @@
 A config is a JSON object overlaid on one benchmark's defaults
 (`benchmark_defaults`); `build_solver` turns it into the system, initial
 state, mesh and solver settings, and is also what validates it.  A run
-solves once with the parallel-in-time solver, timing its phases, compares
-the result against the sequential fine reference and writes CSV/JSON
-artifacts suitable for plotting.
+solves once with the parallel-in-time solver, timing its phases, solves the
+sequential fine reference, computes the certificates (with ``--certify``)
+and only then writes CSV/JSON artifacts suitable for plotting.
 
 Output files (all CSVs carry a header row; floats are printed with 17
 significant digits so parsing reproduces the in-memory values bitwise):
 
 * ``nodes.csv``      final node states: t, one column per state component
   (for the rober benchmark an extra ``x2_scaled_1e4`` column is appended)
-* ``dense.csv``      piecewise-smooth evaluation on a uniform time grid
+* ``dense.csv``      piecewise-smooth evaluation on a uniform time grid, one
+  network call per interval
 * ``errors.csv``     per-iteration stopping error
 * ``reference.csv``  node states of the sequential fine solve
 * ``compare.csv``    per-node Euclidean and max-abs deviation from reference
@@ -26,10 +27,12 @@ bound, say) is written as ``null``.
 
 Exit codes: 0 success, 2 config error (nothing is written), 3 iteration cap
 hit without meeting the tolerance, 4 numerical failure (a failed fine step,
-training run or basis sampling).  A numerical failure in the Parareal solve
-or the serial reference solve writes only ``meta.json``, whose ``failure``
-block names the phase, the exception's type and message, and the interval
-and iteration it carries (``null`` when it carries none).
+training run, basis sampling or certificate).  A numerical failure in the
+Parareal solve, the serial reference solve or the certificates writes only
+``meta.json``, whose ``failure`` block names the phase (``parareal``,
+``serial_reference`` or ``certificates``), the exception's type and
+message, and the interval and iteration it carries (``null`` when it
+carries none).
 """
 
 from __future__ import annotations
@@ -57,10 +60,6 @@ from .rpnn import eval_network_many
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +334,15 @@ class RunArtifact:
 # Both writers replace an existing file rather than truncate it: on ext4 the
 # truncation of a written file forces its writeback, about 50 ms a file.
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header through csv.writer, then each row through one
+    "%.17g,...\r\n" template: the bytes csv.writer writes for the row's
+    values formatted as f"{float(v):.17g}", which never need quoting."""
     path.unlink(missing_ok=True)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        csv.writer(handle).writerow(header)
+        template = ",".join(["%.17g"] * len(header)) + "\r\n"
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            handle.write(template % tuple(row))
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -361,23 +363,28 @@ def _finite_or_null(value):
 
 
 def _state_rows(times: np.ndarray, states: np.ndarray, scale_x2: bool):
-    for t, state in zip(times, states):
-        row = [t, *state]
+    for t, state in zip(times.tolist(), states):
+        row = [t, *state.tolist()]
         if scale_x2:
-            row.append(1e4 * state[1])
+            row.append(1e4 * row[2])
         yield row
 
 
 def _certificates(system, result: PararealResult, node_kind: str) -> list[dict]:
+    """One certificate per interval; a SolverError is tagged with its interval."""
     out = []
     for n, (basis, theta) in enumerate(zip(result.bases, result.thetas)):
         x_n = result.node_states[n]
-        grid = collocation_grid(node_kind, basis.colloc, basis.dt)
-        ts = np.linspace(0.0, basis.dt, 21)
-        samples = eval_network_many(basis, theta, x_n, ts)
-        states = np.vstack([samples, result.node_states[n : n + 2]])
-        log_norm = field_log_norm_bound(system, states)
-        cert = quadrature_certificate(basis, theta, x_n, system, grid, log_norm)
+        try:
+            grid = collocation_grid(node_kind, basis.colloc, basis.dt)
+            ts = np.linspace(0.0, basis.dt, 21)
+            samples = eval_network_many(basis, theta, x_n, ts)
+            states = np.vstack([samples, result.node_states[n : n + 2]])
+            log_norm = field_log_norm_bound(system, states)
+            cert = quadrature_certificate(basis, theta, x_n, system, grid, log_norm)
+        except SolverError as exc:
+            exc.interval = n
+            raise
         out.append({"interval": n, **dataclasses.asdict(cert)})
     return out
 
@@ -402,6 +409,9 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         tic = time.perf_counter()
         reference = serial_solve(system, x0, mesh, pconfig.fine)
         serial_time = time.perf_counter() - tic
+        phase = "certificates"
+        certificates = (_certificates(system, result, pconfig.node_kind)
+                        if config.certify else None)
     except SolverError as exc:
         meta["failure"] = {"phase": phase, "type": type(exc).__name__,
                            "message": str(exc), "interval": exc.interval,
@@ -431,7 +441,7 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
                _state_rows(mesh.nodes, result.node_states, scale_x2))
     dense_ts = np.linspace(mesh.nodes[0], mesh.nodes[-1], int(config.dense_samples))
     _write_csv(files["dense"], ["t", *labels],
-               ([t, *evaluate_piecewise(result, float(t))] for t in dense_ts))
+               _state_rows(dense_ts, evaluate_piecewise(result, dense_ts), False))
     _write_csv(files["errors"], ["iteration", "stopping_error"],
                ((i + 1, err) for i, err in enumerate(result.error_history)))
     _write_csv(files["reference"], ["t", *labels],
@@ -461,8 +471,8 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
             "max_abs": comparison.global_max_abs,
         },
     )
-    if config.certify:
-        meta["certificates"] = _certificates(system, result, pconfig.node_kind)
+    if certificates is not None:
+        meta["certificates"] = certificates
     _write_json(files["timings"], timings)
     _write_json(files["meta"], meta)
     return RunArtifact(out_dir, result, reference, comparison, timings, meta, files)

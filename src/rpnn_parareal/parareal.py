@@ -326,18 +326,26 @@ def parareal_solve(
     )
 
 
-def evaluate_piecewise(result: PararealResult, t: float) -> np.ndarray:
+def evaluate_piecewise(result: PararealResult, t) -> np.ndarray:
     """Evaluate the piecewise-smooth approximant of the final iterate at t.
 
     For t in [t_n, t_{n+1}) this is the interval-n network started at the
-    final node state; at t = t_N it is the final node state itself.
+    final node state; at t = t_N it is the final node state itself.  For an
+    array of times the states are stacked rowwise, one network call per
+    interval, each row bitwise the value at that time alone.
     """
     nodes_t = result.mesh.nodes
-    if not nodes_t[0] <= t <= nodes_t[-1]:
-        raise ValueError(f"t={t} outside [{nodes_t[0]}, {nodes_t[-1]}]")
-    if t == nodes_t[-1]:
-        return result.node_states[-1].copy()
-    n = int(np.searchsorted(nodes_t, t, side="right")) - 1
-    return eval_network(
-        result.bases[n], result.thetas[n], result.node_states[n], t - nodes_t[n]
-    )
+    ts = np.asarray(t, dtype=float)
+    inside = (nodes_t[0] <= ts) & (ts <= nodes_t[-1])
+    if not np.all(inside):
+        raise ValueError(f"t={ts[~inside].flat[0]} outside [{nodes_t[0]}, {nodes_t[-1]}]")
+    interval = np.searchsorted(nodes_t, ts, side="right") - 1
+    out = np.empty(ts.shape + result.node_states.shape[1:])
+    for n in set(interval.ravel().tolist()):  # np.unique would import numpy.ma, ~2 MB
+        rows = interval == n
+        if n == result.mesh.n_intervals:
+            out[rows] = result.node_states[-1]
+        else:
+            out[rows] = eval_network(result.bases[n], result.thetas[n],
+                                     result.node_states[n], ts[rows] - nodes_t[n])
+    return out

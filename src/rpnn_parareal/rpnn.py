@@ -8,6 +8,11 @@ where the inner weights (a, b) are sampled once from a uniform distribution
 and frozen; only theta is trained.  The construction satisfies N(0) = x0
 exactly: sigma(b) is computed once at sampling time and reused, so the
 cancellation at t = 0 is bitwise.
+
+The value and its time derivative are evaluated at one time or, in one
+call, at an array of times; each row of the array form is bitwise the
+evaluation at that time alone, so a batched caller reproduces a per-time
+loop exactly.
 """
 
 from __future__ import annotations
@@ -120,30 +125,43 @@ def sample_basis(
     )
 
 
-def eval_network(basis: RpnnBasis, theta: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
-    """Network value x0 + theta^T (sigma(a t + b) - sigma(b))."""
+def _rows_times(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """theta^T f for each row f of `features`, or for `features` if a vector.
+
+    np.matmul over a stack of column vectors makes one matrix-vector product
+    per row, so each row is bitwise the single-time product theta.T @ f.  A
+    matrix product, features @ theta, rounds its sums differently.
+    """
+    return np.matmul(theta.T, features[..., np.newaxis])[..., 0]
+
+
+def eval_network(basis: RpnnBasis, theta: np.ndarray, x0: np.ndarray, t) -> np.ndarray:
+    """Network value x0 + theta^T (sigma(a t + b) - sigma(b)).
+
+    For an array of times the values are stacked rowwise, each row bitwise
+    the value at that time alone.
+    """
     if theta.shape[0] != basis.hidden or theta.shape[1] != len(x0):
         raise ValueError(
             f"theta shape {theta.shape} incompatible with H={basis.hidden}, d={len(x0)}"
         )
-    features = np.tanh(basis.a * t + basis.b) - basis.sigma_b
-    return x0 + theta.T @ features
+    features = np.tanh(np.multiply.outer(t, basis.a) + basis.b) - basis.sigma_b
+    return x0 + _rows_times(theta, features)
 
 
-def eval_network_derivative(basis: RpnnBasis, theta: np.ndarray, t: float) -> np.ndarray:
-    """Time derivative theta^T (sigma'(a t + b) * a)."""
+def eval_network_derivative(basis: RpnnBasis, theta: np.ndarray, t) -> np.ndarray:
+    """Time derivative theta^T (sigma'(a t + b) * a), rowwise for an array of times."""
     if theta.shape[0] != basis.hidden:
         raise ValueError(f"theta shape {theta.shape} incompatible with H={basis.hidden}")
-    tanh_z = np.tanh(basis.a * t + basis.b)
-    return theta.T @ ((1.0 - tanh_z * tanh_z) * basis.a)
+    tanh_z = np.tanh(np.multiply.outer(t, basis.a) + basis.b)
+    return _rows_times(theta, (1.0 - tanh_z * tanh_z) * basis.a)
 
 
 def eval_network_many(
     basis: RpnnBasis, theta: np.ndarray, x0: np.ndarray, ts: np.ndarray
 ) -> np.ndarray:
-    """Vectorized network values at several times, stacked rowwise."""
-    z = np.outer(np.asarray(ts, dtype=float), basis.a) + basis.b
-    return x0[np.newaxis, :] + (np.tanh(z) - basis.sigma_b) @ theta
+    """Network values at a sequence of times, one row per time."""
+    return eval_network(basis, theta, x0, np.asarray(ts, dtype=float).reshape(-1))
 
 
 def admissible_step_bound(basis: RpnnBasis, lipschitz_f: float) -> float:

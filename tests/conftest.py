@@ -85,3 +85,29 @@ def sample_benchmark_state(name, rng, system):
         d2 = (x[0] - b) ** 2 + x[1] ** 2
         if min(d1, d2) > 0.05:
             return x
+
+
+def assert_bitwise(got, expected):
+    """Equal shapes and equal bit patterns (so -0.0 != 0.0 and nan == nan)."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def benchmark_network(name, seed=0):
+    """A benchmark's system and initial state with a sampled basis on the
+    first interval of its default mesh and small random outer weights."""
+    from rpnn_parareal.cli import ExperimentConfig, build_solver
+    from rpnn_parareal.rpnn import sample_basis
+
+    config = ExperimentConfig.from_dict({"benchmark": name, "rpnn": {"seed": seed}})
+    system, x0, mesh, _ = build_solver(config)
+    basis = sample_basis(5, 5, float(mesh.lengths[0]), seed=seed)
+    theta = 0.1 * np.random.default_rng(seed).standard_normal((5, system.dim))
+    return system, x0, basis, theta
+
+
+def sample_times(dt, seed=0):
+    """Both interval ends, a uniform grid and random times in [0, dt]."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0.0, dt], np.linspace(0.0, dt, 21), rng.uniform(0.0, dt, 16)])

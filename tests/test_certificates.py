@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rpnn_parareal import (
+    OdeSystem,
     SolverError,
     field_log_norm_bound,
     make_benchmark,
@@ -14,10 +15,18 @@ from rpnn_parareal import (
     train_coarse,
     collocation_grid,
 )
-from rpnn_parareal.certificates import defect, log_norm_2, sensitivity_bound
+from rpnn_parareal.certificates import Certificate, defect, log_norm_2, sensitivity_bound
+from rpnn_parareal.problems import BENCHMARK_NAMES, evaluate_rows
 from rpnn_parareal.rpnn import eval_network_many
 
-from conftest import constant_system, linear_system, zero_system
+from conftest import (
+    assert_bitwise,
+    benchmark_network,
+    constant_system,
+    linear_system,
+    sample_times,
+    zero_system,
+)
 
 
 def test_defect_zero_field_zero_weights():
@@ -54,6 +63,72 @@ def test_nonfinite_defect_is_a_solver_error():
     system = constant_system(np.array([np.nan]))
     with pytest.raises(SolverError):
         defect(basis, np.zeros((5, 1)), np.zeros(1), system, 0.5)
+
+
+def test_nonfinite_defect_row_names_its_time():
+    basis = sample_basis(5, 5, 1.0, seed=0)
+    values = iter([0.0, 0.0, np.nan, 0.0])
+    system = OdeSystem(dim=1, field=lambda x: np.array([next(values)]),
+                       jacobian=lambda x: np.zeros((1, 1)), name="nan-at-third-call")
+    with pytest.raises(SolverError, match=r"non-finite defect at t=0\.5$"):
+        defect(basis, np.zeros((5, 1)), np.zeros(1), system, np.array([0.0, 0.25, 0.5, 0.75]))
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_defect_rows_equal_single_time_calls_bitwise(name):
+    system, x0, basis, theta = benchmark_network(name)
+    ts = sample_times(basis.dt)
+    rows = defect(basis, theta, x0, system, ts)
+    assert rows.shape == (len(ts), len(x0))
+    for k, t in enumerate(ts.tolist()):
+        assert_bitwise(rows[k], defect(basis, theta, x0, system, t))
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_field_log_norm_bound_equals_per_matrix_maximum_bitwise(name):
+    system, x0, basis, theta = benchmark_network(name)
+    states = eval_network_many(basis, theta, x0, sample_times(basis.dt))
+    expected = max(map(log_norm_2, evaluate_rows(system.jacobian, states)))
+    assert_bitwise(field_log_norm_bound(system, states), expected)
+
+
+def test_nonfinite_jacobian_sample_is_a_solver_error():
+    # eigvalsh returns finite eigenvalues for this matrix, nan and all.
+    system = OdeSystem(dim=2, field=lambda x: x,
+                       jacobian=lambda x: np.array([[x[0], 1.0], [1.0, 0.0]]),
+                       name="nan-jacobian")
+    states = np.array([[0.0, 0.0], [np.nan, 0.0]])
+    with pytest.raises(SolverError, match="non-finite field Jacobian"):
+        field_log_norm_bound(system, states)
+
+
+def _certificate_per_time(basis, theta, x0, system, grid, log_norm):
+    """The certificate with one single-time defect call per time."""
+    dt, p = basis.dt, grid.order
+    epsilon = max(float(np.linalg.norm(defect(basis, theta, x0, system, float(tc))))
+                  for tc in grid.nodes)
+    ts = np.linspace(0.0, dt, 201)
+    samples = np.array([defect(basis, theta, x0, system, float(t)) for t in ts])
+    h = float(ts[1] - ts[0])
+    max_dp = float(np.max(np.linalg.norm(np.diff(samples, n=p, axis=0) / h**p, axis=1)))
+    rho_sum = float(np.sum(np.abs(grid.weights)))
+    delta = sensitivity_bound(log_norm, dt)
+    eps_term = delta * epsilon * rho_sum
+    quad_term = delta * ((1.0 + rho_sum / dt) * max_dp / math.factorial(p) * dt ** (p + 1))
+    return Certificate(epsilon=epsilon, delta=delta, log_norm=log_norm, rho_sum=rho_sum,
+                       eps_term=eps_term, quad_term=quad_term, total=eps_term + quad_term)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_certificate_equals_per_time_loop_bitwise(name):
+    system, x0, basis, theta = benchmark_network(name)
+    grid = collocation_grid("uniform", 5, basis.dt)
+    states = eval_network_many(basis, theta, x0, sample_times(basis.dt))
+    log_norm = field_log_norm_bound(system, states)
+    got = quadrature_certificate(basis, theta, x0, system, grid, log_norm)
+    expected = _certificate_per_time(basis, theta, x0, system, grid, log_norm)
+    for field, value in vars(expected).items():
+        assert_bitwise(getattr(got, field), value)
 
 
 def test_log_norm_identity_and_skew():

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from rpnn_parareal import cli, make_benchmark
+from rpnn_parareal import SolverError, cli, evaluate_piecewise, make_benchmark
 from rpnn_parareal.cli import (
     ComparisonTable,
     ConfigError,
@@ -17,6 +17,8 @@ from rpnn_parareal.cli import (
     main,
     run_experiment,
 )
+
+from conftest import assert_bitwise
 
 
 def _tiny_sir_config(out_dir, **extra):
@@ -130,6 +132,37 @@ def test_rerun_replaces_artifacts_instead_of_truncating(tmp_path):
     assert kept.read_bytes() == before == second.read_bytes()
 
 
+def test_write_csv_matches_csv_writer_bytes(tmp_path):
+    header = ["t", "x,1", "x2"]  # csv.writer quotes the second name
+    rows = [
+        [0, 1, -2],
+        [np.float64(0.1), np.float64(-1.0 / 3.0), np.float64(2.0**60)],
+        (-0.0, float("inf"), float("-inf")),
+        (float("nan"), 1e-300, 5e-324),
+        [np.int64(7), 10**17 + 1, 123456789.123456789],
+    ]
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{float(v):.17g}" for v in row])
+    got = tmp_path / "got.csv"
+    cli._write_csv(got, header, iter(rows))
+    assert got.read_bytes() == expected.read_bytes()
+
+
+def test_dense_csv_parses_back_to_piecewise_values_bitwise(tmp_path):
+    artifact = run_experiment(_tiny_sir_config(tmp_path))
+    with open(artifact.files["dense"]) as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["t", "x1", "x2", "x3"]
+    table = np.array(rows[1:], dtype=float)
+    assert_bitwise(table[:, 0], np.linspace(0.0, 2.0, 50))
+    for row in table:
+        assert_bitwise(row[1:], evaluate_piecewise(artifact.result, float(row[0])))
+
+
 def test_rober_nodes_carry_scaled_column(tmp_path):
     data = {
         "benchmark": "rober",
@@ -211,6 +244,42 @@ def test_main_exits_4_from_arenstorf_primary(tmp_path, monkeypatch):
                        "message": "non-finite RK4 stage", "interval": 0,
                        "iteration": None}
     assert sorted(path.name for path in (tmp_path / "serial").iterdir()) == ["meta.json"]
+
+
+def test_main_exits_4_when_a_certificate_fails(tmp_path, monkeypatch):
+    """A failed certification writes only meta.json, whose failure block
+    names the phase and the interval; a rerun into an earlier run's
+    directory leaves that run's other files as they were."""
+    config = tmp_path / "sir.json"
+    config.write_text(json.dumps({"benchmark": "sir", "t_end": 2.0,
+                                  "mesh": {"kind": "uniform", "intervals": 2},
+                                  "dense_samples": 50}))
+    argv = ["--config", str(config), "--seed", "0", "--certify", "--out"]
+    earlier = tmp_path / "earlier"
+    assert main([*argv, str(earlier)]) == 0
+    kept = {path.name: path.read_bytes() for path in earlier.iterdir()
+            if path.name != "meta.json"}
+
+    certificate, calls = cli.quadrature_certificate, []
+
+    def fails_on_second_interval(*args):
+        calls.append(args)
+        if len(calls) % 2 == 0:
+            raise SolverError("certificate failed")
+        return certificate(*args)
+
+    monkeypatch.setattr(cli, "quadrature_certificate", fails_on_second_interval)
+    fresh = tmp_path / "fresh"
+    for out in (fresh, earlier):
+        assert main([*argv, str(out)]) == 4
+        meta = json.loads((out / "meta.json").read_text(), parse_constant=_reject_constant)
+        assert meta["failure"] == {"phase": "certificates", "type": "SolverError",
+                                   "message": "certificate failed", "interval": 1,
+                                   "iteration": None}
+        assert "certificates" not in meta and "converged" not in meta
+    assert sorted(path.name for path in fresh.iterdir()) == ["meta.json"]
+    assert {path.name: path.read_bytes() for path in earlier.iterdir()
+            if path.name != "meta.json"} == kept
 
 
 def test_main_exits_4_when_no_basis_draw_is_well_conditioned(tmp_path):

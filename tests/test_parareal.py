@@ -10,6 +10,7 @@ from rpnn_parareal import (
     NewtonNonconvergence,
     OdeSystem,
     PararealConfig,
+    PararealResult,
     StepFailure,
     TimeMesh,
     collocation_grid,
@@ -18,14 +19,21 @@ from rpnn_parareal import (
     make_benchmark,
     parareal_solve,
     quadrature_certificate,
+    sample_basis,
     serial_solve,
     zeroth_iterate,
 )
 from rpnn_parareal.parareal import _CoarseTrainer, correction_step, stopping_error
 from rpnn_parareal.cli import ExperimentConfig, build_solver
-from rpnn_parareal.problems import _on_floats
+from rpnn_parareal.problems import BENCHMARK_NAMES, _on_floats
 
-from conftest import linear_system, zero_system
+from conftest import (
+    assert_bitwise,
+    benchmark_network,
+    linear_system,
+    sample_times,
+    zero_system,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +422,37 @@ def test_piecewise_outside_domain_rejected():
         evaluate_piecewise(result, 5.1)
     with pytest.raises(ValueError):
         evaluate_piecewise(result, float("nan"))
+    with pytest.raises(ValueError, match=r"t=-0\.1 outside"):
+        evaluate_piecewise(result, np.array([0.0, 2.5, -0.1, 5.1]))
+
+
+def _three_interval_result(name):
+    """A final iterate on three intervals of a benchmark's default length,
+    with sampled bases and random weights and node states."""
+    system, x0, basis, theta = benchmark_network(name)
+    mesh = TimeMesh.uniform(0.0, 3 * basis.dt, 3)
+    rng = np.random.default_rng(3)
+    return PararealResult(
+        mesh=mesh,
+        node_states=x0 + 0.01 * rng.standard_normal((4, system.dim)),
+        thetas=[(n + 1) * theta for n in range(3)],
+        bases=[sample_basis(5, 5, float(length), seed=n)
+               for n, length in enumerate(mesh.lengths)],
+        iterations=1, error_history=[0.0], converged=True, timings={},
+        train_reports=[],
+    )
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_piecewise_rows_equal_single_time_calls_bitwise(name):
+    result = _three_interval_result(name)
+    nodes_t = result.mesh.nodes
+    ts = np.concatenate([nodes_t, sample_times(float(nodes_t[-1]))])
+    rows = evaluate_piecewise(result, ts)
+    assert rows.shape == (len(ts), result.node_states.shape[1])
+    for k, t in enumerate(ts.tolist()):
+        assert_bitwise(rows[k], evaluate_piecewise(result, t))
+    assert_bitwise(rows[: len(nodes_t)], result.node_states)
 
 
 def test_piecewise_decay_within_certificate_budget():

@@ -10,7 +10,10 @@ from rpnn_parareal import (
     eval_network_derivative,
     sample_basis,
 )
+from rpnn_parareal.problems import BENCHMARK_NAMES
 from rpnn_parareal.rpnn import eval_network_many
+
+from conftest import assert_bitwise, benchmark_network, sample_times
 
 
 def _tiny_basis(dt=1.0, node=None):
@@ -161,6 +164,26 @@ def test_eval_network_many_matches_scalar_eval():
     batch = eval_network_many(basis, theta, x0, ts)
     for k, t in enumerate(ts):
         np.testing.assert_allclose(batch[k], eval_network(basis, theta, x0, t), atol=1e-14)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_network_rows_equal_single_time_calls_bitwise(name):
+    _, x0, basis, theta = benchmark_network(name)
+    ts = sample_times(basis.dt)
+    values = eval_network(basis, theta, x0, ts)
+    derivatives = eval_network_derivative(basis, theta, ts)
+    assert values.shape == derivatives.shape == (len(ts), len(x0))
+    assert_bitwise(eval_network_many(basis, theta, x0, ts), values)
+    for k, t in enumerate(ts.tolist()):
+        # The single-time forms are the products the solver has always made.
+        tanh_z = np.tanh(basis.a * t + basis.b)
+        value = eval_network(basis, theta, x0, t)
+        derivative = eval_network_derivative(basis, theta, t)
+        assert_bitwise(value, x0 + theta.T @ (tanh_z - basis.sigma_b))
+        assert_bitwise(derivative, theta.T @ ((1.0 - tanh_z * tanh_z) * basis.a))
+        assert_bitwise(values[k], value)
+        assert_bitwise(derivatives[k], derivative)
+    assert_bitwise(values[0], x0)
 
 
 def test_shape_mismatch_rejected():
