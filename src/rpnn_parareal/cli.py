@@ -32,7 +32,8 @@ Parareal solve, the serial reference solve or the certificates writes only
 ``meta.json``, whose ``failure`` block names the phase (``parareal``,
 ``serial_reference`` or ``certificates``), the exception's type and
 message, and the interval and iteration it carries (``null`` when it
-carries none).
+carries none); it first removes the other files of an earlier run in the
+same directory.
 """
 
 from __future__ import annotations
@@ -394,6 +395,16 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     system, x0, mesh, pconfig = build_solver(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Every file a run writes; a failed run removes them all, then writes meta.json.
+    files = {
+        "nodes": out_dir / "nodes.csv",
+        "dense": out_dir / "dense.csv",
+        "errors": out_dir / "errors.csv",
+        "reference": out_dir / "reference.csv",
+        "compare": out_dir / "compare.csv",
+        "timings": out_dir / "timings.json",
+        "meta": out_dir / "meta.json",
+    }
     meta: dict = {
         "config": config.to_dict(),
         "version": __version__,
@@ -416,7 +427,9 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
         meta["failure"] = {"phase": phase, "type": type(exc).__name__,
                            "message": str(exc), "interval": exc.interval,
                            "iteration": exc.iteration}
-        _write_json(out_dir / "meta.json", meta)
+        for path in files.values():
+            path.unlink(missing_ok=True)
+        _write_json(files["meta"], meta)
         raise
     comparison = compare_with_serial(result.node_states, reference)
     timings = {
@@ -428,15 +441,6 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     scale_x2 = config.benchmark == "rober"
     labels = list(system.labels)
     node_header = ["t", *labels] + (["x2_scaled_1e4"] if scale_x2 else [])
-    files = {
-        "nodes": out_dir / "nodes.csv",
-        "dense": out_dir / "dense.csv",
-        "errors": out_dir / "errors.csv",
-        "reference": out_dir / "reference.csv",
-        "compare": out_dir / "compare.csv",
-        "timings": out_dir / "timings.json",
-        "meta": out_dir / "meta.json",
-    }
     _write_csv(files["nodes"], node_header,
                _state_rows(mesh.nodes, result.node_states, scale_x2))
     dense_ts = np.linspace(mesh.nodes[0], mesh.nodes[-1], int(config.dense_samples))

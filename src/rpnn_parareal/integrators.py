@@ -9,17 +9,21 @@ after another in the calling thread.
 A fine step of a small system costs a few microseconds of Python overhead
 and little field work, so each stepper runs all the steps of an interval as
 one loop on Python floats, calling the field and the Jacobian through their
-float forms (`OdeSystem` explains).  RK4 checks finiteness once per step, on
-the update; only a failed step looks through its four stages for the first
-non-finite one.  Implicit Euler makes one numpy call per Newton iteration,
-the dense solve, and keeps arrays for a system without float forms.  The
-results are bitwise those of the array expressions of the schemes.  On a
-2-vCPU AMD EPYC host an implicit Euler step of ROBER inside an interval
-takes about 9.3 us (14.8 us with array steps).
+float forms (`OdeSystem` explains).  RK4 runs them in a loop generated once
+per state dimension (`_rk4_kernel`), whose body is the step written out
+component by component on local floats, so the only lists a step builds
+are the field's arguments and results.  It checks finiteness once per
+step, on the update; only a failed step looks through its four stages for
+the first non-finite one.  Implicit Euler makes one numpy call per Newton
+iteration, the dense solve, and keeps arrays for a system without float
+forms.  The results are bitwise those of the array expressions of the
+schemes.  On a 2-vCPU AMD EPYC host an implicit Euler step of ROBER inside
+an interval takes about 9.3 us (14.8 us with array steps).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -90,11 +94,11 @@ class FineMethod:
 def rk4_step(system: OdeSystem, x: np.ndarray, h: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of size h.
 
-    The one-step case of the loop `fine_propagate` runs: the stages are
-    computed on Python floats and finiteness is checked once, on the update
-    (with h > 0 a non-finite stage makes the update non-finite too).  The
-    StepFailure of a failed step names its first non-finite stage (1-4), or
-    stage 5 when only the update overflowed.
+    The one-step case of the generated loop `fine_propagate` runs
+    (`_rk4_steps`): the stages are computed on Python floats and finiteness
+    is checked once, on the update (with h > 0 a non-finite stage makes the
+    update non-finite too).  The StepFailure of a failed step names its first
+    non-finite stage (1-4), or stage 5 when only the update overflowed.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
@@ -104,32 +108,75 @@ def rk4_step(system: OdeSystem, x: np.ndarray, h: float) -> np.ndarray:
 def _rk4_steps(field, x: np.ndarray, h: float, steps: int) -> np.ndarray:
     """`steps` RK4 steps of size h from x, on Python floats.
 
-    Each stage is the array expression written elementwise in the same
-    order; `+ - * /` on Python floats round as numpy's elementwise
-    operations do, so the result is bitwise the array scheme's.  The field
-    runs on floats through its `floats` form when it has one, otherwise
-    through an adapter that calls it on an array.
+    The steps run in `_rk4_kernel(len(x))`, whose loop body is the RK4 step
+    written out component by component on local floats: each stage is the
+    array expression written elementwise in the same order, and `+ - * /`
+    on Python floats round as numpy's elementwise operations do, so the
+    result is bitwise the array scheme's.  The field runs on floats through
+    its `floats` form when it has one, otherwise through an adapter that
+    calls it on an array.
     """
     f = getattr(field, "floats", None)
     if f is None:
         def f(y):
             return field(np.array(y)).tolist()
+    return np.array(_rk4_kernel(len(x))(f, x.tolist(), h, steps))
+
+
+# One RK4 step written out for d components: y{i} is the state and k1_{i} to
+# k4_{i} are the four stages.  `{y}` stands for "y0, y1, ...", and the comma
+# after it in an unpacking keeps a one-component target a tuple.
+_RK4_TEMPLATE = """\
+def rk4_kernel(f, y, h, steps):
     hh, h6 = 0.5 * h, h / 6.0
-    y = x.tolist()
+    {y}, = y
     for _ in range(steps):
-        k1 = f(y)
-        k2 = f([a + hh * b for a, b in zip(y, k1)])
-        k3 = f([a + hh * b for a, b in zip(y, k2)])
-        k4 = f([a + h * b for a, b in zip(y, k3)])
-        out = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-               for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, out)):
-            for stage, k in enumerate((k1, k2, k3, k4), 1):
-                if not all(map(math.isfinite, k)):
-                    raise StepFailure("non-finite RK4 stage", stage=stage)
-            raise StepFailure("non-finite RK4 update", stage=5)
-        y = out
-    return np.array(y)
+        {k1}, = f([{y}])
+        {k2}, = f([{stage2}])
+        {k3}, = f([{stage3}])
+        {k4}, = f([{stage4}])
+        {update}
+        if not ({finite}):
+            raise _rk4_failure([{k1}], [{k2}], [{k3}], [{k4}])
+    return [{y}]
+"""
+
+
+@functools.cache
+def _rk4_kernel(d: int):
+    """The RK4 loop for states of d components, generated on first use.
+
+    `rk4_kernel(f, y, h, steps)` runs `steps` steps from the list y with the
+    field's float form f (list in, list out) and returns the state as a
+    list.  A traceback from inside a step names the source
+    `<rk4 kernel d=...>`.
+    """
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(d))
+
+    def stage(step, k):
+        return ", ".join(f"y{i} + {step} * {k}{i}" for i in range(d))
+
+    source = _RK4_TEMPLATE.format(
+        y=names("y"), k1=names("k1_"), k2=names("k2_"), k3=names("k3_"), k4=names("k4_"),
+        stage2=stage("hh", "k1_"), stage3=stage("hh", "k2_"), stage4=stage("h", "k3_"),
+        update="\n        ".join(
+            f"y{i} = y{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+            for i in range(d)),
+        finite=" and ".join(f"isfinite(y{i})" for i in range(d)),
+    )
+    namespace = {"isfinite": math.isfinite, "_rk4_failure": _rk4_failure}
+    exec(compile(source, f"<rk4 kernel d={d}>", "exec"), namespace)
+    return namespace["rk4_kernel"]
+
+
+def _rk4_failure(*stages) -> StepFailure:
+    """The StepFailure of a step whose update is not finite: it names the
+    first non-finite stage (1-4), or stage 5 when every stage is finite."""
+    for stage, k in enumerate(stages, 1):
+        if not all(map(math.isfinite, k)):
+            return StepFailure("non-finite RK4 stage", stage=stage)
+    return StepFailure("non-finite RK4 update", stage=5)
 
 
 def implicit_euler_step(

@@ -7,6 +7,7 @@ immutable after construction and safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from typing import Any, Callable
@@ -320,7 +321,8 @@ def make_benchmark(name: str, overrides: dict[str, float] | None = None) -> OdeS
     """Build one of the six benchmark systems with its default parameters.
 
     `overrides` may replace any named parameter of the chosen system; unknown
-    keys and non-finite values are rejected.
+    keys, values that are not real numbers (a bool or a string, say) and
+    non-finite values are rejected.
     """
     if name not in _BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {BENCHMARK_NAMES}")
@@ -329,6 +331,8 @@ def make_benchmark(name: str, overrides: dict[str, float] | None = None) -> OdeS
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"{name} has no parameter {key!r}; valid: {sorted(params)}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"override {key}={value!r} is not a real number")
         if not np.isfinite(value):
             raise ValueError(f"override {key}={value!r} is not finite")
         params[key] = value

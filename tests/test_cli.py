@@ -249,7 +249,7 @@ def test_main_exits_4_from_arenstorf_primary(tmp_path, monkeypatch):
 def test_main_exits_4_when_a_certificate_fails(tmp_path, monkeypatch):
     """A failed certification writes only meta.json, whose failure block
     names the phase and the interval; a rerun into an earlier run's
-    directory leaves that run's other files as they were."""
+    directory removes that run's other files."""
     config = tmp_path / "sir.json"
     config.write_text(json.dumps({"benchmark": "sir", "t_end": 2.0,
                                   "mesh": {"kind": "uniform", "intervals": 2},
@@ -257,8 +257,7 @@ def test_main_exits_4_when_a_certificate_fails(tmp_path, monkeypatch):
     argv = ["--config", str(config), "--seed", "0", "--certify", "--out"]
     earlier = tmp_path / "earlier"
     assert main([*argv, str(earlier)]) == 0
-    kept = {path.name: path.read_bytes() for path in earlier.iterdir()
-            if path.name != "meta.json"}
+    assert len(list(earlier.iterdir())) == 7
 
     certificate, calls = cli.quadrature_certificate, []
 
@@ -277,9 +276,8 @@ def test_main_exits_4_when_a_certificate_fails(tmp_path, monkeypatch):
                                    "message": "certificate failed", "interval": 1,
                                    "iteration": None}
         assert "certificates" not in meta and "converged" not in meta
-    assert sorted(path.name for path in fresh.iterdir()) == ["meta.json"]
-    assert {path.name: path.read_bytes() for path in earlier.iterdir()
-            if path.name != "meta.json"} == kept
+    for out in (fresh, earlier):
+        assert sorted(path.name for path in out.iterdir()) == ["meta.json"]
 
 
 def test_main_exits_4_when_no_basis_draw_is_well_conditioned(tmp_path):
@@ -425,6 +423,8 @@ _BAD_SIR_SETTINGS = {
     "fractional-max_it": {"max_it": 2.5},
     "fractional-newton_max_iter": {"fine": {"newton_max_iter": 3.5}},
     "overflowing-step-count": {"t_end": 1e308, "fine": {"dt": 1e-10}},
+    "bool-param": {"params": {"beta": True}},
+    "string-param": {"params": {"beta": "x"}},
 }
 
 

@@ -115,7 +115,16 @@ def _textbook_rk4(field, x, h, steps):
     return x
 
 
-# Burgers has no float form, so its steps go through the array adapter.
+def _scalar_system(float_form):
+    """Scalar x' = x (1 - x) / (1 + x * x), with or without a float form;
+    RK4 reads no Jacobian."""
+    terms = _on_floats(lambda x: [x[0] * (1.0 - x[0]) / (1.0 + x[0] * x[0])])
+    field = terms if float_form else lambda x: terms(x)
+    return OdeSystem(1, field, lambda x: np.zeros((1, 1)), "scalar")
+
+
+# Burgers has no float form, so its steps go through the array adapter; the
+# scalar system runs through the one-component kernel both ways.
 @pytest.mark.parametrize(
     "name, dt, steps",
     [
@@ -125,12 +134,16 @@ def _textbook_rk4(field, x, h, steps):
         pytest.param("arenstorf", 17.0 / 80000.0, 640, id="arenstorf"),
         pytest.param("brusselator", 1e-2, 200, id="brusselator"),
         pytest.param("burgers", 1e-4, 50, id="burgers"),
+        pytest.param("scalar", 1e-2, 200, id="scalar-float-form"),
+        pytest.param("scalar-array", 1e-2, 200, id="scalar-array"),
     ],
 )
 def test_fine_propagate_equals_textbook_array_rk4_bitwise(name, dt, steps):
-    system = make_benchmark(name)
-    assert hasattr(system.field, "floats") == (name != "burgers")
-    x = default_initial_state(name)
+    if name.startswith("scalar"):
+        system, x = _scalar_system(name == "scalar"), np.array([0.01])
+    else:
+        system, x = make_benchmark(name), default_initial_state(name)
+    assert hasattr(system.field, "floats") == (name not in ("burgers", "scalar-array"))
     got = fine_propagate(system, x, steps * dt, FineMethod("rk4", dt))
     assert np.array_equal(got, _textbook_rk4(system.field, x, dt, steps))
 

@@ -153,6 +153,9 @@ def test_make_benchmark_rejects_bad_input():
         make_benchmark("sir", {"mu": 1.0})
     with pytest.raises(ValueError):
         make_benchmark("sir", {"beta": float("nan")})
+    for value in (True, False, "x", None, [0.1]):
+        with pytest.raises(ValueError, match="beta"):
+            make_benchmark("sir", {"beta": value})
     with pytest.raises(ValueError, match="grid_size"):
         make_benchmark("burgers", {"grid_size": 20.7})
     with pytest.raises(ValueError, match="grid_size"):
