@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .integrators import SolverError
+from .integrators import SolverError, check_count
 from .problems import BurgersDiscretization, OdeSystem, evaluate_rows
 
 if TYPE_CHECKING:
@@ -253,8 +253,7 @@ class LmOptions:
     floor_to_gauss_newton: bool = True
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        check_count("max_iter", self.max_iter)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,17 @@ per state dimension (`_rk4_kernel`), whose body is the step written out
 component by component on local floats, so the only lists a step builds
 are the field's arguments and results.  It checks finiteness once per
 step, on the update; only a failed step looks through its four stages for
-the first non-finite one.  Implicit Euler makes one numpy call per Newton
-iteration, the dense solve, and keeps arrays for a system without float
-forms.  The results are bitwise those of the array expressions of the
-schemes.  On a 2-vCPU AMD EPYC host an implicit Euler step of ROBER inside
-an interval takes about 9.3 us (14.8 us with array steps).
+the first non-finite one.  Its results are bitwise those of the array
+expressions of the scheme.  Implicit Euler runs in a loop generated the
+same way (`_implicit_euler_kernel`): the residual, the Newton matrix, a
+Gaussian elimination with partial pivoting and the update are written out
+on local floats, and no numpy call remains.  LAPACK no longer solves the
+float path's Newton systems, so the elimination may round them otherwise;
+tests pin that the steps agree bitwise with the array path, which a
+system without float forms keeps, but nothing guarantees it.  On a 2-vCPU
+Intel Xeon host an implicit Euler step of ROBER (h = 1e-3) inside an
+interval takes about 3.5 us, against 19 us when each Newton iteration
+called `np.linalg.solve`.
 """
 
 from __future__ import annotations
@@ -64,16 +70,22 @@ class NewtonNonconvergence(SolverError):
         self.residual = residual
 
 
+def check_count(name: str, value) -> None:
+    """Reject an iteration cap that is not an integer (a bool included) or
+    is below 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NewtonOptions:
     tol: float = 1e-12
     max_iter: int = 50
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("newton tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("newton max_iter must be >= 1")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"newton tol must be positive and finite, got {self.tol!r}")
+        check_count("newton max_iter", self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -187,10 +199,13 @@ def implicit_euler_step(
 ) -> np.ndarray:
     """One implicit Euler step: solve y = x + h*F(y) by Newton from y0 = x.
 
-    The iteration uses the exact Jacobian I - h*DF(y) and a dense solve; it
-    terminates when ||y - x - h F(y)|| <= tol * (1 + ||x||), and raises
-    NewtonNonconvergence rather than silently accepting a stale iterate.
-    This is the one-step case of the loop `fine_propagate` runs.
+    Each Newton iteration solves with the exact matrix I - h*DF(y): by
+    Gaussian elimination with partial pivoting on Python floats when the
+    field and the Jacobian carry float forms, by `np.linalg.solve`
+    otherwise.  It terminates when ||y - x - h F(y)|| <= tol * (1 + ||x||),
+    and raises NewtonNonconvergence, on a stall, a non-finite iterate or a
+    singular matrix, rather than silently accepting a stale iterate.  This
+    is the one-step case of the loop `fine_propagate` runs.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
@@ -203,73 +218,161 @@ def _implicit_euler_steps(
     """`steps` implicit Euler steps of size h from x (see `implicit_euler_step`).
 
     When the field and the Jacobian both carry float forms (`OdeSystem`),
-    the iterate and the residual are Python float lists, each the array
-    expression written elementwise in the same order, and the one numpy call
-    per Newton iteration is the solve, on bitwise the array path's inputs.
-    Any other system keeps arrays.  Both paths take their norms as
-    `math.hypot` of a list, so their results are bitwise equal; unlike the
-    root of a sum of squares, it does not overflow above about 1.3e154.
+    the steps run in `_implicit_euler_kernel(len(x))` on Python floats, with
+    no numpy call.  Any other system keeps arrays and solves each Newton
+    system with `np.linalg.solve`.  The residual and the update are the
+    array expressions written elementwise in the same order, and both paths
+    take their norms as `math.hypot`, which, unlike the root of a sum of
+    squares, does not overflow above about 1.3e154.  Only the solves differ:
+    the kernel's elimination need not round as LAPACK does, so the paths'
+    agreement is pinned by tests, not guaranteed by construction.
     """
-    eye = np.eye(system.dim)
+    tol, max_iter = newton.tol, newton.max_iter
     f = getattr(system.field, "floats", None)
     df = getattr(system.jacobian, "floats", None)
-    if f is None or df is None:
-        field, jacobian = system.field, system.jacobian
-
-        def norm(v):
-            return math.hypot(*v.tolist())
-
-        def residual(y, x):
-            g = y - x - h * field(y)
-            return g, math.hypot(*g.tolist())
-
-        def newton_update(y, g, g_norm):
-            y = y - _newton_solve(eye - h * jacobian(y), g, g_norm)
-            return y, np.all(np.isfinite(y))
-
-        y = x
-    else:
-        def norm(v):
-            return math.hypot(*v)
-
-        def residual(y, x):
-            g = [a - b - h * c for a, b, c in zip(y, x, f(y))]
-            return g, math.hypot(*g)
-
-        def newton_update(y, g, g_norm):
-            delta = _newton_solve(eye - h * np.array(df(y)), g, g_norm)
-            y = [a - d for a, d in zip(y, delta.tolist())]
-            return y, all(map(math.isfinite, y))
-
-        y = x.tolist()
-    tol, max_iter = newton.tol, newton.max_iter
+    if f is not None and df is not None:
+        kernel = _implicit_euler_kernel(len(x))
+        return np.array(kernel(f, df, x.tolist(), h, steps, tol, max_iter))
+    field, jacobian, eye = system.field, system.jacobian, np.eye(system.dim)
+    y = x
     for _ in range(steps):
-        x, threshold = y, tol * (1.0 + norm(y))
-        g, g_norm = residual(y, x)
+        x, threshold = y, tol * (1.0 + math.hypot(*y.tolist()))
+        g = y - x - h * field(y)
+        g_norm = math.hypot(*g.tolist())
         for _ in range(max_iter):
             if g_norm <= threshold:
                 break
-            y, finite = newton_update(y, g, g_norm)
-            if not finite:
-                raise NewtonNonconvergence("Newton iterate became non-finite", g_norm)
-            g, g_norm = residual(y, x)
+            y = y - _newton_solve(eye - h * jacobian(y), g, g_norm)
+            if not np.all(np.isfinite(y)):
+                raise _nonfinite_iterate(g_norm)
+            g = y - x - h * field(y)
+            g_norm = math.hypot(*g.tolist())
         else:
             if not g_norm <= threshold:
-                raise NewtonNonconvergence(
-                    f"implicit Euler Newton stalled at residual {g_norm:.3e} "
-                    f"(tol {threshold:.3e}, {max_iter} iterations)",
-                    g_norm,
-                )
-    return np.asarray(y)
+                raise _stalled(g_norm, threshold, max_iter)
+    return y
 
 
 def _newton_solve(matrix: np.ndarray, g, g_norm: float) -> np.ndarray:
     try:
         return np.linalg.solve(matrix, g)
     except np.linalg.LinAlgError as exc:
-        raise NewtonNonconvergence(
-            f"singular Newton matrix at residual {g_norm:.3e}", g_norm
-        ) from exc
+        raise _singular(g_norm) from exc
+
+
+def _singular(g_norm: float) -> NewtonNonconvergence:
+    return NewtonNonconvergence(f"singular Newton matrix at residual {g_norm:.3e}", g_norm)
+
+
+def _nonfinite_iterate(g_norm: float) -> NewtonNonconvergence:
+    return NewtonNonconvergence("Newton iterate became non-finite", g_norm)
+
+
+def _stalled(g_norm: float, threshold: float, max_iter: int) -> NewtonNonconvergence:
+    return NewtonNonconvergence(
+        f"implicit Euler Newton stalled at residual {g_norm:.3e} "
+        f"(tol {threshold:.3e}, {max_iter} iterations)",
+        g_norm,
+    )
+
+
+# Implicit Euler steps written out for d components: y{i} is the iterate,
+# x{i} the step's start, f{i} the field and g{i} the residual, which the
+# solve overwrites with the Newton correction; a{i}_{k} is the Newton matrix
+# I - h*DF(y).  As in the RK4 template, a trailing comma keeps a
+# one-component target a tuple.
+_IMPLICIT_EULER_TEMPLATE = """\
+def implicit_euler_kernel(f, df, y, h, steps, tol, max_iter):
+    {y}, = y
+    for _ in range(steps):
+        {x}, = {y},
+        threshold = tol * (1.0 + hypot({y}))
+        {f}, = f([{y}])
+        {residual}
+        g_norm = hypot({g})
+        for _ in range(max_iter):
+            if g_norm <= threshold:
+                break
+            {rows}, = df([{y}])
+            {matrix}
+            {solve}
+            {update}
+            if not ({finite}):
+                raise _nonfinite_iterate(g_norm)
+            {f}, = f([{y}])
+            {newton_residual}
+            g_norm = hypot({g})
+        else:
+            if not g_norm <= threshold:
+                raise _stalled(g_norm, threshold, max_iter)
+    return [{y}]
+"""
+
+
+def _gaussian_elimination(d: int) -> list[str]:
+    """Lines that solve a x = g in place of g{i}, with partial pivoting.
+
+    At column j the pivot is the first row of largest `abs` among rows
+    j..d-1 (LAPACK's choice); it is swapped into row j, and a pivot of
+    exactly 0.0 raises the array path's singular-matrix failure.
+    Back-substitution subtracts the known components from the last one
+    back, as a column-oriented triangular solve does.
+    """
+    lines = []
+    for j in range(d):
+        if j < d - 1:
+            lines.append(f"r, p = {j}, abs(a{j}_{j})")
+            for i in range(j + 1, d):
+                lines.append(f"if abs(a{i}_{j}) > p: r, p = {i}, abs(a{i}_{j})")
+            for n, i in enumerate(range(j + 1, d)):
+                row_j = ", ".join([f"a{j}_{k}" for k in range(j, d)] + [f"g{j}"])
+                row_i = ", ".join([f"a{i}_{k}" for k in range(j, d)] + [f"g{i}"])
+                lines.append(f"{'el' if n else ''}if r == {i}: "
+                             f"{row_j}, {row_i} = {row_i}, {row_j}")
+        lines.append(f"if a{j}_{j} == 0.0: raise _singular(g_norm)")
+        for i in range(j + 1, d):
+            lines.append(f"m = a{i}_{j} / a{j}_{j}")
+            lines += [f"a{i}_{k} = a{i}_{k} - m * a{j}_{k}" for k in range(j + 1, d)]
+            lines.append(f"g{i} = g{i} - m * g{j}")
+    for i in reversed(range(d)):
+        known = "".join(f" - a{i}_{k} * g{k}" for k in reversed(range(i + 1, d)))
+        lines.append(f"g{i} = (g{i}{known}) / a{i}_{i}" if known else f"g{i} = g{i} / a{i}_{i}")
+    return lines
+
+
+@functools.cache
+def _implicit_euler_kernel(d: int):
+    """The implicit Euler loop for states of d components, generated on
+    first use.
+
+    `implicit_euler_kernel(f, df, y, h, steps, tol, max_iter)` runs `steps`
+    steps from the list y with the float forms of the field (list in, list
+    out) and of the Jacobian (a list of rows) and returns the state as a
+    list.  A traceback from inside a step names the source
+    `<implicit euler kernel d=...>`.
+    """
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(d))
+
+    def block(lines, indent=12):
+        return ("\n" + " " * indent).join(lines)
+
+    residual = [f"g{i} = y{i} - x{i} - h * f{i}" for i in range(d)]
+    source = _IMPLICIT_EULER_TEMPLATE.format(
+        y=names("y"), x=names("x"), f=names("f"), g=names("g"),
+        residual=block(residual, 8), newton_residual=block(residual),
+        rows=", ".join("(" + ", ".join(f"a{i}_{k}" for k in range(d)) + ",)"
+                       for i in range(d)),
+        matrix=block(f"a{i}_{k} = {'1.0' if i == k else '0.0'} - h * a{i}_{k}"
+                     for i in range(d) for k in range(d)),
+        solve=block(_gaussian_elimination(d)),
+        update=block(f"y{i} = y{i} - g{i}" for i in range(d)),
+        finite=" and ".join(f"isfinite(y{i})" for i in range(d)),
+    )
+    namespace = {"hypot": math.hypot, "isfinite": math.isfinite, "_singular": _singular,
+                 "_nonfinite_iterate": _nonfinite_iterate, "_stalled": _stalled}
+    exec(compile(source, f"<implicit euler kernel d={d}>", "exec"), namespace)
+    return namespace["implicit_euler_kernel"]
 
 
 def step_count(length: float, dt: float) -> int:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .collocation import LmOptions, TrainReport, TrainingError, collocation_nodes, train_coarse
-from .integrators import FineMethod, SolverError, fine_propagate, step_count
+from .integrators import FineMethod, SolverError, check_count, fine_propagate, step_count
 from .problems import OdeSystem
 from .rpnn import BasisConditioningError, RpnnBasis, eval_network, sample_basis
 
@@ -101,10 +101,9 @@ class PararealConfig:
     lm: LmOptions = dc_field(default_factory=lambda: LmOptions(floor_to_gauss_newton=False))
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_it < 1:
-            raise ValueError("max_it must be >= 1")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        check_count("max_it", self.max_it)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.seed < 0:

@@ -425,6 +425,8 @@ _BAD_SIR_SETTINGS = {
     "overflowing-step-count": {"t_end": 1e308, "fine": {"dt": 1e-10}},
     "bool-param": {"params": {"beta": True}},
     "string-param": {"params": {"beta": "x"}},
+    "infinite-tol": {"tol": float("inf")},
+    "infinite-newton_tol": {"fine": {"kind": "implicit-euler", "newton_tol": float("inf")}},
 }
 
 
@@ -437,4 +439,14 @@ def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, settings):
     pin = [] if isinstance(rpnn, dict) and "seed" in rpnn else ["--seed", "0"]
     assert main(["--config", str(config), *pin]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# An infinite tol accepted the zeroth sweep as converged after 0 iterations.
+def test_main_rejects_infinite_tol_flag_with_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = tmp_path / "sir.json"
+    config.write_text(json.dumps({"benchmark": "sir", "out_dir": str(out)}))
+    assert main(["--config", str(config), "--seed", "0", "--tol", "inf"]) == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
     assert not out.exists()

@@ -346,6 +346,14 @@ def test_lm_options_validation():
         LmOptions(max_iter=0)
 
 
+# A fractional cap ran as its ceiling (2.5 ran 3 iterations).
+@pytest.mark.parametrize("max_iter", [2.5, True, "3", None],
+                         ids=["fractional", "bool", "string", "none"])
+def test_lm_options_reject_non_integer_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        LmOptions(max_iter=max_iter)
+
+
 EXACT = LmOptions(floor_to_gauss_newton=True)
 TERMINATIONS = {"residual_tol", "step_tol", "ftol", "xtol", "max_iter"}
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -116,11 +119,14 @@ def _textbook_rk4(field, x, h, steps):
 
 
 def _scalar_system(float_form):
-    """Scalar x' = x (1 - x) / (1 + x * x), with or without a float form;
-    RK4 reads no Jacobian."""
+    """Scalar x' = x (1 - x) / (1 + x * x), with or without float forms of
+    the field and its Jacobian."""
     terms = _on_floats(lambda x: [x[0] * (1.0 - x[0]) / (1.0 + x[0] * x[0])])
-    field = terms if float_form else lambda x: terms(x)
-    return OdeSystem(1, field, lambda x: np.zeros((1, 1)), "scalar")
+    jac_terms = _on_floats(
+        lambda x: [[(1.0 - 2.0 * x[0] - x[0] * x[0]) / ((1.0 + x[0] * x[0]) ** 2)]])
+    if float_form:
+        return OdeSystem(1, terms, jac_terms, "scalar")
+    return OdeSystem(1, lambda x: terms(x), lambda x: jac_terms(x), "scalar")
 
 
 # Burgers has no float form, so its steps go through the array adapter; the
@@ -163,13 +169,16 @@ def _without_float_forms(system):
         pytest.param("lorenz", 1e-3, 200, id="lorenz"),
         pytest.param("arenstorf", 17.0 / 80000.0, 200, id="arenstorf"),
         pytest.param("brusselator", 1e-2, 200, id="brusselator"),
+        pytest.param("scalar", 1e-2, 200, id="scalar"),
     ],
 )
 def test_implicit_euler_float_path_equals_array_path_bitwise(name, dt, steps):
-    system = make_benchmark(name)
+    if name == "scalar":
+        system, x = _scalar_system(True), np.array([0.01])
+    else:
+        system, x = make_benchmark(name), default_initial_state(name)
     arrays = _without_float_forms(system)
     assert not hasattr(arrays.field, "floats") and not hasattr(arrays.jacobian, "floats")
-    x = default_initial_state(name)
     method = FineMethod("implicit-euler", dt)
     got = fine_propagate(system, x, steps * dt, method)
     assert np.array_equal(got, fine_propagate(arrays, x, steps * dt, method))
@@ -328,6 +337,54 @@ def test_implicit_euler_float_path_reports_singular_matrix():
     assert (str(same), same.residual) == (str(exc), exc.residual)
 
 
+def _linear_system(rows, quadratic=0.0):
+    """x' = A x, plus quadratic * x_2**2 in the second component when d = 3,
+    with float forms of the field and the Jacobian."""
+    def field_terms(x):
+        f = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        if quadratic:
+            f[1] = f[1] + quadratic * x[2] * x[2]
+        return f
+
+    def jac_terms(x):
+        jac = [list(row) for row in rows]
+        if quadratic:
+            jac[1][2] = jac[1][2] + 2.0 * quadratic * x[2]
+        return jac
+
+    return OdeSystem(len(rows), _on_floats(field_terms), _on_floats(jac_terms), "linear")
+
+
+# With h = 0.5 the Newton matrix I - h*DF has a zero in its leading entry,
+# so the elimination must exchange rows to go on; the matrix stays
+# nonsingular along the trajectory.  The elimination and LAPACK round
+# differently, and here 5 of the 20 steps differ in the last bits, so each
+# step is held to the Newton threshold against the array path's step from
+# the same state.
+def test_implicit_euler_float_path_pivots_past_zero_leading_entry():
+    system = _linear_system([[2.0, 1.0, -0.5], [-3.0, -1.0, 0.0], [0.5, -2.0, -4.0]],
+                            quadratic=0.125)
+    arrays, h, tol = _without_float_forms(system), 0.5, NewtonOptions().tol
+    x = np.array([1.0, -0.5, 0.25])
+    assert 1.0 - h * system.jacobian(x)[0, 0] == 0.0
+    for _ in range(20):
+        got, expected = implicit_euler_step(system, x, h), implicit_euler_step(arrays, x, h)
+        threshold = tol * (1.0 + np.linalg.norm(x))
+        assert np.linalg.norm(got - x - h * system.field(got)) <= threshold
+        assert np.linalg.norm(got - expected) <= threshold
+        x = expected
+
+
+# With h = 1 the Newton matrix is [[1, 2], [2, 4]]: its leading column has
+# no zero pivot, and the second pivot vanishes only after elimination.
+def test_implicit_euler_float_path_reports_singular_matrix_after_elimination():
+    system = _linear_system([[0.0, -2.0], [-2.0, -3.0]])
+    exc = _newton_failure(system, [1.0, 0.0], 1.0)
+    assert str(exc) == "singular Newton matrix at residual 2.000e+00" and exc.residual == 2.0
+    same = _newton_failure(_without_float_forms(system), [1.0, 0.0], 1.0)
+    assert (str(same), same.residual) == (str(exc), exc.residual)
+
+
 @pytest.mark.parametrize("lam", [-1.0, -1e3, -1e6])
 def test_implicit_euler_unconditionally_stable(lam):
     system = linear_system(lam)
@@ -449,3 +506,36 @@ def test_fine_method_validation():
         NewtonOptions(tol=0.0)
     with pytest.raises(ValueError):
         NewtonOptions(max_iter=0)
+
+
+# An infinite tol made every step return its input; a fractional cap failed
+# mid-solve with a TypeError, and True ran as one iteration.
+@pytest.mark.parametrize("settings", [
+    {"tol": math.inf}, {"tol": math.nan}, {"tol": -math.inf}, {"max_iter": 2.5},
+    {"max_iter": True}, {"max_iter": "3"}, {"max_iter": None},
+], ids=["inf-tol", "nan-tol", "minus-inf-tol", "fractional-max_iter", "bool-max_iter",
+        "string-max_iter", "none-max_iter"])
+def test_newton_options_reject_bad_settings(settings):
+    with pytest.raises(ValueError, match="newton"):
+        NewtonOptions(**settings)
+
+
+def test_newton_options_accept_numpy_integer_max_iter():
+    system = linear_system(-1.0)
+    opts = NewtonOptions(max_iter=np.int64(3))
+    assert implicit_euler_step(system, np.array([1.0]), 0.1, opts)[0] == pytest.approx(1 / 1.1)
+
+
+# Each generated kernel is built on first use, so importing the package
+# must leave both caches empty: otherwise a benchmark's setup time would
+# include kernel generation.
+def test_import_builds_no_kernel():
+    code = ("import rpnn_parareal.integrators as m; "
+            "print(m._rk4_kernel.cache_info().currsize, "
+            "m._implicit_euler_kernel.cache_info().currsize)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", "import rpnn_parareal; " + code],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]

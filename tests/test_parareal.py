@@ -122,6 +122,22 @@ def test_config_rejects_bad_basis_settings(basis):
         _config(1e-2, **basis)
 
 
+# An infinite tol would accept the zeroth sweep after 0 iterations; a
+# fractional or bool cap would run as some other count.
+@pytest.mark.parametrize("settings", [
+    {"tol": np.inf}, {"tol": np.nan}, {"tol": 0.0}, {"max_it": 2.5}, {"max_it": True},
+    {"max_it": "3"}, {"max_it": 0},
+], ids=["inf-tol", "nan-tol", "zero-tol", "fractional-max_it", "bool-max_it",
+        "string-max_it", "zero-max_it"])
+def test_config_rejects_bad_tol_and_max_it(settings):
+    with pytest.raises(ValueError):
+        _config(1e-2, **settings)
+
+
+def test_config_accepts_numpy_integer_max_it():
+    assert _config(1e-2, max_it=np.int64(3)).max_it == 3
+
+
 def test_zeroth_iterate_zero_field():
     system = zero_system(2)
     x0 = np.array([1.5, -0.5])
