@@ -9,22 +9,20 @@ after another in the calling thread.
 A fine step of a small system costs a few microseconds of Python overhead
 and little field work, so each stepper runs all the steps of an interval as
 one loop on Python floats, calling the field and the Jacobian through their
-float forms (`OdeSystem` explains).  RK4 runs them in a loop generated once
-per state dimension (`_rk4_kernel`), whose body is the step written out
-component by component on local floats, so the only lists a step builds
-are the field's arguments and results.  It checks finiteness once per
-step, on the update; only a failed step looks through its four stages for
-the first non-finite one.  Its results are bitwise those of the array
-expressions of the scheme.  Implicit Euler runs in a loop generated the
-same way (`_implicit_euler_kernel`): the residual, the Newton matrix, a
-Gaussian elimination with partial pivoting and the update are written out
-on local floats, and no numpy call remains.  LAPACK no longer solves the
-float path's Newton systems, so the elimination may round them otherwise;
-tests pin that the steps agree bitwise with the array path, which a
-system without float forms keeps, but nothing guarantees it.  On a 2-vCPU
-Intel Xeon host an implicit Euler step of ROBER (h = 1e-3) inside an
-interval takes about 3.5 us, against 19 us when each Newton iteration
-called `np.linalg.solve`.
+float forms (`OdeSystem` explains).  One generator (`_kernel`) writes that
+loop once per stepper kind and state dimension, from one loop template and
+the kind's step body written out component by component on local floats.
+The RK4 body checks finiteness once per step, on the update; only a failed
+step looks through its four stages for the first non-finite one.  Its
+results are bitwise those of the array expressions of the scheme.  The
+implicit Euler body writes out the residual, the Newton matrix, a Gaussian
+elimination with partial pivoting and the update, and no numpy call
+remains.  LAPACK does not solve the float path's Newton systems, so the
+elimination may round them otherwise; tests pin that the steps agree
+bitwise with the array path, which a system without float forms keeps, but
+nothing guarantees it.  On a 2-vCPU Intel Xeon host an implicit Euler step
+of ROBER (h = 1e-3) inside an interval takes about 3.5 us, against 19 us
+when each Newton iteration called `np.linalg.solve`.
 """
 
 from __future__ import annotations
@@ -70,11 +68,11 @@ class NewtonNonconvergence(SolverError):
         self.residual = residual
 
 
-def check_count(name: str, value) -> None:
-    """Reject an iteration cap that is not an integer (a bool included) or
-    is below 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Reject a count that is not an integer (a bool included) or is below
+    `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,80 +104,13 @@ class FineMethod:
 def rk4_step(system: OdeSystem, x: np.ndarray, h: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of size h.
 
-    The one-step case of the generated loop `fine_propagate` runs
-    (`_rk4_steps`): the stages are computed on Python floats and finiteness
-    is checked once, on the update (with h > 0 a non-finite stage makes the
-    update non-finite too).  The StepFailure of a failed step names its first
+    The one-step case of the loop `fine_propagate` runs (`_fine_steps`):
+    the stages are computed on Python floats and finiteness is checked
+    once, on the update (with h > 0 a non-finite stage makes the update
+    non-finite too).  The StepFailure of a failed step names its first
     non-finite stage (1-4), or stage 5 when only the update overflowed.
     """
-    if not h > 0:
-        raise ValueError("step size must be positive")
-    return _rk4_steps(system.field, x, h, 1)
-
-
-def _rk4_steps(field, x: np.ndarray, h: float, steps: int) -> np.ndarray:
-    """`steps` RK4 steps of size h from x, on Python floats.
-
-    The steps run in `_rk4_kernel(len(x))`, whose loop body is the RK4 step
-    written out component by component on local floats: each stage is the
-    array expression written elementwise in the same order, and `+ - * /`
-    on Python floats round as numpy's elementwise operations do, so the
-    result is bitwise the array scheme's.  The field runs on floats through
-    its `floats` form when it has one, otherwise through an adapter that
-    calls it on an array.
-    """
-    f = getattr(field, "floats", None)
-    if f is None:
-        def f(y):
-            return field(np.array(y)).tolist()
-    return np.array(_rk4_kernel(len(x))(f, x.tolist(), h, steps))
-
-
-# One RK4 step written out for d components: y{i} is the state and k1_{i} to
-# k4_{i} are the four stages.  `{y}` stands for "y0, y1, ...", and the comma
-# after it in an unpacking keeps a one-component target a tuple.
-_RK4_TEMPLATE = """\
-def rk4_kernel(f, y, h, steps):
-    hh, h6 = 0.5 * h, h / 6.0
-    {y}, = y
-    for _ in range(steps):
-        {k1}, = f([{y}])
-        {k2}, = f([{stage2}])
-        {k3}, = f([{stage3}])
-        {k4}, = f([{stage4}])
-        {update}
-        if not ({finite}):
-            raise _rk4_failure([{k1}], [{k2}], [{k3}], [{k4}])
-    return [{y}]
-"""
-
-
-@functools.cache
-def _rk4_kernel(d: int):
-    """The RK4 loop for states of d components, generated on first use.
-
-    `rk4_kernel(f, y, h, steps)` runs `steps` steps from the list y with the
-    field's float form f (list in, list out) and returns the state as a
-    list.  A traceback from inside a step names the source
-    `<rk4 kernel d=...>`.
-    """
-    def names(prefix):
-        return ", ".join(f"{prefix}{i}" for i in range(d))
-
-    def stage(step, k):
-        return ", ".join(f"y{i} + {step} * {k}{i}" for i in range(d))
-
-    source = _RK4_TEMPLATE.format(
-        y=names("y"), k1=names("k1_"), k2=names("k2_"), k3=names("k3_"), k4=names("k4_"),
-        stage2=stage("hh", "k1_"), stage3=stage("hh", "k2_"), stage4=stage("h", "k3_"),
-        update="\n        ".join(
-            f"y{i} = y{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-            for i in range(d)),
-        finite=" and ".join(f"isfinite(y{i})" for i in range(d)),
-    )
-    namespace = {"isfinite": math.isfinite, "_rk4_failure": _rk4_failure}
-    exec(compile(source, f"<rk4 kernel d={d}>", "exec"), namespace)
-    return namespace["rk4_kernel"]
+    return _fine_steps("rk4", system, x, h, 1, None)
 
 
 def _rk4_failure(*stages) -> StepFailure:
@@ -207,32 +138,38 @@ def implicit_euler_step(
     singular matrix, rather than silently accepting a stale iterate.  This
     is the one-step case of the loop `fine_propagate` runs.
     """
+    return _fine_steps("implicit-euler", system, x, h, 1, newton or NewtonOptions())
+
+
+def _fine_steps(kind: str, system: OdeSystem, x: np.ndarray, h: float, steps: int,
+                newton: NewtonOptions | None) -> np.ndarray:
+    """`steps` steps of the `FineMethod` kind `kind` and size h from x.
+
+    The steps run in `_kernel(kind, len(x))` on Python floats, calling the
+    float forms of the field and, for implicit Euler, of the Jacobian
+    (`OdeSystem`).  RK4 calls a field without one through an adapter on
+    arrays.  Implicit Euler on a system without both keeps arrays and
+    solves each Newton system with `np.linalg.solve`.  Its residual and
+    update are the kernel's expressions in the same order, and both paths
+    take their norms as `math.hypot`, which, unlike the root of a sum of
+    squares, does not overflow above about 1.3e154.  Only the solves
+    differ: the kernel's elimination need not round as LAPACK does, so the
+    paths' agreement is pinned by tests, not guaranteed by construction.
+    """
     if not h > 0:
         raise ValueError("step size must be positive")
-    return _implicit_euler_steps(system, x, h, 1, newton or NewtonOptions())
-
-
-def _implicit_euler_steps(
-    system: OdeSystem, x: np.ndarray, h: float, steps: int, newton: NewtonOptions
-) -> np.ndarray:
-    """`steps` implicit Euler steps of size h from x (see `implicit_euler_step`).
-
-    When the field and the Jacobian both carry float forms (`OdeSystem`),
-    the steps run in `_implicit_euler_kernel(len(x))` on Python floats, with
-    no numpy call.  Any other system keeps arrays and solves each Newton
-    system with `np.linalg.solve`.  The residual and the update are the
-    array expressions written elementwise in the same order, and both paths
-    take their norms as `math.hypot`, which, unlike the root of a sum of
-    squares, does not overflow above about 1.3e154.  Only the solves differ:
-    the kernel's elimination need not round as LAPACK does, so the paths'
-    agreement is pinned by tests, not guaranteed by construction.
-    """
-    tol, max_iter = newton.tol, newton.max_iter
     f = getattr(system.field, "floats", None)
+    if kind == "rk4":
+        if f is None:
+            field = system.field
+
+            def f(y):
+                return field(np.array(y)).tolist()
+        return np.array(_kernel(kind, len(x))(f, None, x.tolist(), h, steps, None, None))
     df = getattr(system.jacobian, "floats", None)
+    tol, max_iter = newton.tol, newton.max_iter
     if f is not None and df is not None:
-        kernel = _implicit_euler_kernel(len(x))
-        return np.array(kernel(f, df, x.tolist(), h, steps, tol, max_iter))
+        return np.array(_kernel(kind, len(x))(f, df, x.tolist(), h, steps, tol, max_iter))
     field, jacobian, eye = system.field, system.jacobian, np.eye(system.dim)
     y = x
     for _ in range(steps):
@@ -276,15 +213,33 @@ def _stalled(g_norm: float, threshold: float, max_iter: int) -> NewtonNonconverg
     )
 
 
-# Implicit Euler steps written out for d components: y{i} is the iterate,
-# x{i} the step's start, f{i} the field and g{i} the residual, which the
-# solve overwrites with the Newton correction; a{i}_{k} is the Newton matrix
-# I - h*DF(y).  As in the RK4 template, a trailing comma keeps a
-# one-component target a tuple.
-_IMPLICIT_EULER_TEMPLATE = """\
-def implicit_euler_kernel(f, df, y, h, steps, tol, max_iter):
+# The loop of every kernel: `{preamble}` is a line run once (empty for
+# implicit Euler) and `{step}` one step at the loop body's indentation.
+# y{i} is the state; `{y}` stands for "y0, y1, ...", and the comma after it
+# in an unpacking keeps a one-component target a tuple.
+_KERNEL_TEMPLATE = """\
+def kernel(f, df, y, h, steps, tol, max_iter):
+    {preamble}
     {y}, = y
     for _ in range(steps):
+{step}
+    return [{y}]
+"""
+
+# One RK4 step: k1_{i} to k4_{i} are the four stages.
+_RK4_STEP = """\
+        {k1}, = f([{y}])
+        {k2}, = f([{stage2}])
+        {k3}, = f([{stage3}])
+        {k4}, = f([{stage4}])
+        {update}
+        if not ({finite}):
+            raise _rk4_failure([{k1}], [{k2}], [{k3}], [{k4}])"""
+
+# One implicit Euler step: x{i} is the step's start, f{i} the field and g{i}
+# the residual, which the solve overwrites with the Newton correction;
+# a{i}_{k} is the Newton matrix I - h*DF(y).
+_IMPLICIT_EULER_STEP = """\
         {x}, = {y},
         threshold = tol * (1.0 + hypot({y}))
         {f}, = f([{y}])
@@ -304,9 +259,7 @@ def implicit_euler_kernel(f, df, y, h, steps, tol, max_iter):
             g_norm = hypot({g})
         else:
             if not g_norm <= threshold:
-                raise _stalled(g_norm, threshold, max_iter)
-    return [{y}]
-"""
+                raise _stalled(g_norm, threshold, max_iter)"""
 
 
 def _gaussian_elimination(d: int) -> list[str]:
@@ -341,15 +294,19 @@ def _gaussian_elimination(d: int) -> list[str]:
 
 
 @functools.cache
-def _implicit_euler_kernel(d: int):
-    """The implicit Euler loop for states of d components, generated on
+def _kernel(kind: str, d: int):
+    """The loop of `kind` steps for states of d components, generated on
     first use.
 
-    `implicit_euler_kernel(f, df, y, h, steps, tol, max_iter)` runs `steps`
-    steps from the list y with the float forms of the field (list in, list
-    out) and of the Jacobian (a list of rows) and returns the state as a
-    list.  A traceback from inside a step names the source
-    `<implicit euler kernel d=...>`.
+    `kernel(f, df, y, h, steps, tol, max_iter)` runs `steps` steps from the
+    list y with the float forms of the field (list in, list out) and, for
+    implicit Euler, of the Jacobian (a list of rows), and returns the state
+    as a list; RK4 ignores df, tol and max_iter.  Each step is the array
+    expression of the scheme written out component by component on local
+    floats in the same order, and `+ - * /` on Python floats round as
+    numpy's elementwise operations do, so an RK4 result is bitwise the
+    array scheme's.  A traceback from inside a step names the source
+    `<rk4 kernel d=...>` or `<implicit euler kernel d=...>`.
     """
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in range(d))
@@ -357,22 +314,39 @@ def _implicit_euler_kernel(d: int):
     def block(lines, indent=12):
         return ("\n" + " " * indent).join(lines)
 
-    residual = [f"g{i} = y{i} - x{i} - h * f{i}" for i in range(d)]
-    source = _IMPLICIT_EULER_TEMPLATE.format(
-        y=names("y"), x=names("x"), f=names("f"), g=names("g"),
-        residual=block(residual, 8), newton_residual=block(residual),
-        rows=", ".join("(" + ", ".join(f"a{i}_{k}" for k in range(d)) + ",)"
-                       for i in range(d)),
-        matrix=block(f"a{i}_{k} = {'1.0' if i == k else '0.0'} - h * a{i}_{k}"
-                     for i in range(d) for k in range(d)),
-        solve=block(_gaussian_elimination(d)),
-        update=block(f"y{i} = y{i} - g{i}" for i in range(d)),
-        finite=" and ".join(f"isfinite(y{i})" for i in range(d)),
-    )
-    namespace = {"hypot": math.hypot, "isfinite": math.isfinite, "_singular": _singular,
-                 "_nonfinite_iterate": _nonfinite_iterate, "_stalled": _stalled}
-    exec(compile(source, f"<implicit euler kernel d={d}>", "exec"), namespace)
-    return namespace["implicit_euler_kernel"]
+    y, finite = names("y"), " and ".join(f"isfinite(y{i})" for i in range(d))
+    if kind == "rk4":
+        def stage(step, k):
+            return ", ".join(f"y{i} + {step} * {k}{i}" for i in range(d))
+
+        preamble = "hh, h6 = 0.5 * h, h / 6.0"
+        step = _RK4_STEP.format(
+            y=y, k1=names("k1_"), k2=names("k2_"), k3=names("k3_"), k4=names("k4_"),
+            stage2=stage("hh", "k1_"), stage3=stage("hh", "k2_"), stage4=stage("h", "k3_"),
+            update=block((f"y{i} = y{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+                          for i in range(d)), 8),
+            finite=finite,
+        )
+    else:
+        residual = [f"g{i} = y{i} - x{i} - h * f{i}" for i in range(d)]
+        preamble = ""
+        step = _IMPLICIT_EULER_STEP.format(
+            y=y, x=names("x"), f=names("f"), g=names("g"),
+            residual=block(residual, 8), newton_residual=block(residual),
+            rows=", ".join("(" + ", ".join(f"a{i}_{k}" for k in range(d)) + ",)"
+                           for i in range(d)),
+            matrix=block(f"a{i}_{k} = {'1.0' if i == k else '0.0'} - h * a{i}_{k}"
+                         for i in range(d) for k in range(d)),
+            solve=block(_gaussian_elimination(d)),
+            update=block(f"y{i} = y{i} - g{i}" for i in range(d)),
+            finite=finite,
+        )
+    source = _KERNEL_TEMPLATE.format(preamble=preamble, y=y, step=step)
+    namespace = {"hypot": math.hypot, "isfinite": math.isfinite, "_rk4_failure": _rk4_failure,
+                 "_singular": _singular, "_nonfinite_iterate": _nonfinite_iterate,
+                 "_stalled": _stalled}
+    exec(compile(source, f"<{kind.replace('-', ' ')} kernel d={d}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def step_count(length: float, dt: float) -> int:
@@ -401,9 +375,7 @@ def fine_propagate(
         raise ValueError("propagation length must be positive")
     steps = step_count(length, method.dt)
     y = np.asarray(x, dtype=float)
-    if method.kind == "rk4":
-        return _rk4_steps(system.field, y, method.dt, steps)
-    return _implicit_euler_steps(system, y, method.dt, steps, method.newton)
+    return _fine_steps(method.kind, system, y, method.dt, steps, method.newton)
 
 
 def serial_solve(

@@ -104,12 +104,12 @@ class PararealConfig:
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         check_count("max_it", self.max_it)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not self.hidden == self.colloc >= 1:
-            raise ValueError("this ansatz requires hidden == colloc >= 1")
+        check_count("workers", self.workers)
+        check_count("seed", self.seed, 0)
+        check_count("hidden", self.hidden)
+        check_count("colloc", self.colloc)
+        if self.hidden != self.colloc:
+            raise ValueError("this ansatz requires hidden == colloc")
         collocation_nodes(self.node_kind, self.colloc, 1.0)  # rejects a kind it cannot place
         lo, hi = self.weight_bounds
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rpnn_parareal import (
     NewtonNonconvergence,
     NewtonOptions,
     OdeSystem,
+    SolverError,
     StepFailure,
     TimeMesh,
     fine_propagate,
@@ -58,9 +60,12 @@ def test_rk4_error_shrinks_sixteenfold_on_lorenz():
     assert 10.0 < e1 / e2 < 24.0
 
 
-def test_rk4_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        rk4_step(linear_system(1.0), np.array([1.0]), 0.0)
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("step", [rk4_step, implicit_euler_step],
+                         ids=["rk4", "implicit-euler"])
+def test_one_step_functions_reject_bad_step_size(step, h):
+    with pytest.raises(ValueError, match="step size must be positive"):
+        step(make_benchmark("sir"), default_initial_state("sir"), h)
 
 
 _ARENSTORF_A = make_benchmark("arenstorf").params["a"]
@@ -129,6 +134,26 @@ def _scalar_system(float_form):
     return OdeSystem(1, lambda x: terms(x), lambda x: jac_terms(x), "scalar")
 
 
+def _lorenz96_system():
+    """Lorenz-96 on five components, x_i' = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + 8
+    with cyclic indices, with float forms of the field and its Jacobian: a
+    dimension no benchmark system has."""
+    def terms(x):
+        return [(x[(i + 1) % 5] - x[i - 2]) * x[i - 1] - x[i] + 8.0 for i in range(5)]
+
+    def jac_terms(x):
+        rows = [[0.0] * 5 for _ in range(5)]
+        for i, row in enumerate(rows):
+            row[i - 2], row[i - 1] = -x[i - 1], x[(i + 1) % 5] - x[i - 2]
+            row[i], row[(i + 1) % 5] = -1.0, x[i - 1]
+        return rows
+
+    return OdeSystem(5, _on_floats(terms), _on_floats(jac_terms), "lorenz96")
+
+
+_LORENZ96_X0 = np.array([8.01, 8.0, 8.0, 8.0, 8.0])
+
+
 # Burgers has no float form, so its steps go through the array adapter; the
 # scalar system runs through the one-component kernel both ways.
 @pytest.mark.parametrize(
@@ -142,11 +167,14 @@ def _scalar_system(float_form):
         pytest.param("burgers", 1e-4, 50, id="burgers"),
         pytest.param("scalar", 1e-2, 200, id="scalar-float-form"),
         pytest.param("scalar-array", 1e-2, 200, id="scalar-array"),
+        pytest.param("lorenz96", 1e-2, 200, id="lorenz96"),
     ],
 )
 def test_fine_propagate_equals_textbook_array_rk4_bitwise(name, dt, steps):
     if name.startswith("scalar"):
         system, x = _scalar_system(name == "scalar"), np.array([0.01])
+    elif name == "lorenz96":
+        system, x = _lorenz96_system(), _LORENZ96_X0
     else:
         system, x = make_benchmark(name), default_initial_state(name)
     assert hasattr(system.field, "floats") == (name not in ("burgers", "scalar-array"))
@@ -170,15 +198,27 @@ def _without_float_forms(system):
         pytest.param("arenstorf", 17.0 / 80000.0, 200, id="arenstorf"),
         pytest.param("brusselator", 1e-2, 200, id="brusselator"),
         pytest.param("scalar", 1e-2, 200, id="scalar"),
+        pytest.param("lorenz96", 1e-2, 200, id="lorenz96"),
     ],
 )
 def test_implicit_euler_float_path_equals_array_path_bitwise(name, dt, steps):
     if name == "scalar":
         system, x = _scalar_system(True), np.array([0.01])
+    elif name == "lorenz96":
+        system, x = _lorenz96_system(), _LORENZ96_X0
     else:
         system, x = make_benchmark(name), default_initial_state(name)
     arrays = _without_float_forms(system)
     assert not hasattr(arrays.field, "floats") and not hasattr(arrays.jacobian, "floats")
+    if name == "lorenz96":
+        # Not bitwise: from the array path's state after 188 steps, the
+        # elimination's step differs from LAPACK's in the last bit of one
+        # component, so each step is held to the Newton threshold instead.
+        for _ in range(steps):
+            got, expected = implicit_euler_step(system, x, dt), implicit_euler_step(arrays, x, dt)
+            assert np.linalg.norm(got - expected) <= NewtonOptions().tol * (1.0 + np.linalg.norm(x))
+            x = expected
+        return
     method = FineMethod("implicit-euler", dt)
     got = fine_propagate(system, x, steps * dt, method)
     assert np.array_equal(got, fine_propagate(arrays, x, steps * dt, method))
@@ -246,6 +286,22 @@ def test_fine_propagate_failure_mid_interval_reports_stage(x0, stage):
                          FineMethod("rk4", 0.1))
         assert info.value.stage == stage
         assert info.value.interval == step // 5
+
+
+# The README promises that a traceback from inside a step names the
+# generated source: here the RK4 update of x' = x**2 overflows, and one
+# Newton iteration cannot bring the ROBER residual below tol = 1e-300.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind, system, x0, source", [
+    ("rk4", OdeSystem(1, _on_floats(lambda x: [x[0] * x[0]]), lambda x: np.diag(2 * x), "sq"),
+     [1.0], "<rk4 kernel d=1>"),
+    ("implicit-euler", make_benchmark("rober"), [1.0, 0.0, 0.0], "<implicit euler kernel d=3>"),
+], ids=["rk4", "implicit-euler"])
+def test_step_failure_traceback_names_kernel_source(kind, system, x0, source):
+    method = FineMethod(kind, 0.1, NewtonOptions(tol=1e-300, max_iter=1))
+    with pytest.raises(SolverError) as info:
+        fine_propagate(system, np.array(x0), 2.0, method)
+    assert source in [frame.filename for frame in traceback.extract_tb(info.tb)]
 
 
 def test_implicit_euler_scalar_decay_closed_form():
@@ -527,15 +583,21 @@ def test_newton_options_accept_numpy_integer_max_iter():
 
 
 # Each generated kernel is built on first use, so importing the package
-# must leave both caches empty: otherwise a benchmark's setup time would
-# include kernel generation.
+# must leave the kernel cache empty: otherwise a benchmark's setup time would
+# include kernel generation.  One kernel per stepper kind and dimension is
+# built, and later intervals reuse it.
 def test_import_builds_no_kernel():
     code = ("import rpnn_parareal.integrators as m; "
-            "print(m._rk4_kernel.cache_info().currsize, "
-            "m._implicit_euler_kernel.cache_info().currsize)")
+            "from rpnn_parareal import FineMethod, make_benchmark; "
+            "from rpnn_parareal.problems import default_initial_state; "
+            "size = lambda: print(m._kernel.cache_info().currsize); size(); "
+            "s, x = make_benchmark('sir'), default_initial_state('sir'); "
+            "run = lambda: [m.fine_propagate(s, x, 0.1, FineMethod(k, 1e-2)) "
+            "for k in ('rk4', 'implicit-euler')]; "
+            "run(); size(); run(); size()")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", "import rpnn_parareal; " + code],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "2", "2"]

@@ -138,6 +138,25 @@ def test_config_accepts_numpy_integer_max_it():
     assert _config(1e-2, max_it=np.int64(3)).max_it == 3
 
 
+# seed, hidden, colloc and workers were checked only by comparison: True ran
+# as seed 1, seed 0.5 failed mid-solve with a TypeError, a fractional or bool
+# worker count ran, and hidden = colloc = 5.0 raised a bare TypeError.
+@pytest.mark.parametrize("settings", [
+    {"seed": True}, {"seed": 0.5}, {"seed": "0"}, {"workers": 2.5}, {"workers": True},
+    {"workers": 0}, {"hidden": 5.0, "colloc": 5.0}, {"hidden": 0, "colloc": 0},
+], ids=["bool-seed", "fractional-seed", "string-seed", "fractional-workers", "bool-workers",
+        "zero-workers", "float-basis-size", "zero-basis-size"])
+def test_config_rejects_non_integer_counts(settings):
+    with pytest.raises(ValueError, match="must be an integer"):
+        _config(1e-2, **settings)
+
+
+def test_config_accepts_numpy_integer_counts():
+    config = _config(1e-2, seed=np.int64(0), hidden=np.int64(4), colloc=np.int64(4),
+                     workers=np.int64(2))
+    assert (config.seed, config.hidden, config.colloc, config.workers) == (0, 4, 4, 2)
+
+
 def test_zeroth_iterate_zero_field():
     system = zero_system(2)
     x0 = np.array([1.5, -0.5])
