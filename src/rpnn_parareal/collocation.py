@@ -11,11 +11,15 @@ respect to vec(theta) (column stacking) is
     I_d (x) Hp - dvecF/dvecX . (I_d (x) (H - H0)),
 
 square when there are as many hidden units as collocation nodes; F and DF on
-the C node states come from `system.field_rows` and `evaluate_rows`.  The
-trainer works on this dense Jacobian for every system and has two modes.
+the C node states come from `system.field_rows` and `evaluate_rows`, which
+call the float forms of the closed-form systems on the rows as lists.  The
+trainer works on this dense Jacobian for every system, with its constant
+block I_d (x) Hp built once per training, and has two modes.
 The exact fit solves G = 0 by Newton's method, damping only after a rejected
 step.  The regularized fit keeps Marquardt damping on throughout, so that a
 stiff transient the ansatz cannot resolve still gets weights of moderate size.
+Either builds its damped system once per Jacobian and rewrites only its
+diagonal for each damping tried.
 """
 
 from __future__ import annotations
@@ -164,9 +168,37 @@ def residual(
 ) -> np.ndarray:
     """Collocation residual G = Hp theta - F(states), F from `system.field_rows`."""
     f_rows = system.field_rows(collocation_states(basis, theta, x0))
-    if not np.all(np.isfinite(f_rows)):
+    if not np.isfinite(f_rows).all():
         raise TrainingError("vector field returned non-finite values at collocation states")
     return basis.feat_prime @ theta - f_rows
+
+
+def _residual_jacobian_of(
+    basis: "RpnnBasis", x0: np.ndarray, system: OdeSystem
+) -> Callable[[np.ndarray], np.ndarray]:
+    """`residual_jacobian(basis, theta, x0, system)` as a function of theta.
+
+    Rows of vec(G) are (j, c) and columns of vec(theta) (k, h), so the
+    Jacobian is the (d, C, d, H) array delta_jk * Hp[c, h] - DF_c[j, k] *
+    Hm[c, h].  Its first term, I_d (x) Hp, is built here once; each call
+    multiplies DF by Hm into a fresh buffer and subtracts it from that block
+    in place.  Off the diagonal blocks the first term is 0 * Hp, so even the
+    signs of zeros are those of the expression.  A non-finite DF raises
+    `TrainingError` before any solve sees it.
+    """
+    hp, hm = basis.feat_prime, basis.feat_shifted[:, np.newaxis, :]
+    (c_count, h_count), d = hp.shape, len(x0)
+    frame = np.eye(d)[:, np.newaxis, :, np.newaxis] * hp[:, np.newaxis, :]
+
+    def jacobian(theta):
+        jacs = evaluate_rows(system.jacobian, collocation_states(basis, theta, x0))
+        if not np.isfinite(jacs).all():
+            raise TrainingError("field Jacobian returned non-finite values at collocation states")
+        blocks = np.multiply(jacs.transpose(1, 0, 2)[:, :, :, np.newaxis], hm,
+                             out=np.empty(frame.shape))
+        return np.subtract(frame, blocks, out=blocks).reshape(d * c_count, d * h_count)
+
+    return jacobian
 
 
 def residual_jacobian(
@@ -178,20 +210,7 @@ def residual_jacobian(
     DF comes from `evaluate_rows`; only `system.jacobian` is read, so
     `system` may be a `BurgersDiscretization`.
     """
-    hp, hm = basis.feat_prime, basis.feat_shifted
-    states = collocation_states(basis, theta, x0)
-    (c_count, d), h_count = states.shape, hp.shape[1]
-    jacs = evaluate_rows(system.jacobian, states)
-    # Axes (j, c, k, h): rows of vec(G) are (j, c), columns of vec(theta) (k, h).
-    # Built in one (C*d, H*d) buffer; entry by entry this is
-    # delta_jk * Hp - DF * Hm, with 0 * Hp off the diagonal blocks, so that
-    # even the signs of zeros match that expression.
-    idx = np.arange(d)
-    blocks = jacs.transpose(1, 0, 2)[:, :, :, np.newaxis] * hm[:, np.newaxis, :]
-    diagonal_blocks = hp - blocks[idx, :, idx, :]
-    np.subtract(0.0 * hp[:, np.newaxis, :], blocks, out=blocks)
-    blocks[idx, :, idx, :] = diagonal_blocks
-    return blocks.reshape(d * c_count, d * h_count)
+    return _residual_jacobian_of(basis, x0, system)(theta)
 
 
 class BurgersJacobianOperator:
@@ -273,6 +292,13 @@ def _max_row_norm(g: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(np.atleast_2d(g), axis=1)))
 
 
+def _norm(a: np.ndarray) -> float:
+    """`np.linalg.norm(a)` of a float array, taken as it does: the root of
+    v . v for v = a.ravel(order="K")."""
+    v = a.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _raise_damping(lam: float) -> float:
     return min(lam * _LAMBDA_INCREASE, _LAMBDA_MAX) if lam else _LAMBDA_INIT
 
@@ -330,31 +356,44 @@ def levenberg_marquardt(
     iterations = accepted = rejected = 0
     reason = None
     need_jacobian = True
-    jac = diag = None
     while reason is None and iterations < opts.max_iter:
         iterations += 1
         if need_jacobian:
+            # r changes only with an accepted step, which also asks for a new
+            # Jacobian, so everything built here serves each damping tried.
             jac = np.asarray(jacobian_fn(theta))
+            (m, n), minus_r = jac.shape, -_vec(r)
             diag = np.einsum("ij,ij->j", jac, jac)
-            if np.min(diag) < _MARQUARDT_DIAG_FLOOR:
+            if diag.min() < _MARQUARDT_DIAG_FLOOR:
                 diag = np.ones_like(diag)
             need_jacobian = False
+            if exact:
+                normal = None  # J^T J and J^T (-r), formed at the first damped step
+            else:
+                # The augmented system [J; sqrt(lam*diag)], [-r; 0]: only the
+                # diagonal of its lower block changes with lam.
+                augmented = np.zeros((m + n, n))
+                augmented[:m] = jac
+                damping = augmented.reshape(-1)[m * n:: n + 1]
+                rhs = np.zeros(m + n)
+                rhs[:m] = minus_r
         while True:
             try:
                 if lam == 0.0:
-                    delta = _undamped_step(jac, -_vec(r))
+                    delta = _undamped_step(jac, minus_r)
                 elif exact:
-                    # The damped normal equations, assembled in one buffer.
-                    normal = jac.T @ jac
-                    normal.flat[:: normal.shape[0] + 1] += lam * diag
-                    delta = np.linalg.solve(normal, jac.T @ -_vec(r))
+                    # The damped normal equations, in one buffer.
+                    if normal is None:
+                        normal, gradient = jac.T @ jac, jac.T @ minus_r
+                        normal_diagonal = normal.reshape(-1)[:: n + 1]
+                        undamped_diagonal = normal_diagonal.copy()
+                    np.add(undamped_diagonal, lam * diag, out=normal_diagonal)
+                    delta = np.linalg.solve(normal, gradient)
                 else:
                     # The same damped normal equations, solved as the
-                    # augmented least-squares system [J; sqrt(lam*diag)] to
-                    # avoid squaring the conditioning of J.
-                    n_unknowns = jac.shape[1]
-                    augmented = np.vstack([jac, np.diag(np.sqrt(lam * diag))])
-                    rhs = np.concatenate([-_vec(r), np.zeros(n_unknowns)])
+                    # augmented least-squares system to avoid squaring the
+                    # conditioning of J.
+                    np.sqrt(lam * diag, out=damping)
                     delta = np.linalg.lstsq(augmented, rhs, rcond=None)[0]
                 break
             except np.linalg.LinAlgError as exc:
@@ -366,10 +405,10 @@ def levenberg_marquardt(
         theta_try = theta + _unvec(delta, shape)
         r_try = residual_fn(theta_try)
         cost_try = float(np.sum(r_try * r_try))
-        step_norm = float(np.linalg.norm(delta))
+        step_norm = _norm(delta)
         if cost_try < cost:
             ftol_hit = exact and cost - cost_try <= _FTOL * cost
-            xtol_hit = exact and step_norm <= _XTOL * (_XTOL + float(np.linalg.norm(theta)))
+            xtol_hit = exact and step_norm <= _XTOL * (_XTOL + _norm(theta))
             theta, r, cost = theta_try, r_try, cost_try
             accepted += 1
             need_jacobian = True
@@ -406,7 +445,8 @@ def train_coarse(
 ) -> tuple[np.ndarray, TrainReport]:
     """Fit the outer-layer weights so the ansatz satisfies the ODE at the nodes.
 
-    Both fit modes train on the dense `residual_jacobian`.
+    Both fit modes train on the dense `residual_jacobian`, whose constant
+    block is built once per call.
     """
     opts = opts or LmOptions()
     h_count = basis.feat_prime.shape[1]
@@ -416,7 +456,5 @@ def train_coarse(
     def residual_fn(theta):
         return residual(basis, theta, x0, system)
 
-    def jacobian_fn(theta):
-        return residual_jacobian(basis, theta, x0, system)
-
-    return levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts)
+    return levenberg_marquardt(residual_fn, _residual_jacobian_of(basis, x0, system),
+                               theta_init, opts)

@@ -38,6 +38,8 @@ class OdeSystem:
     is replaced loses it.  Training reads the field on the rows of a C x d
     matrix of states through `field_rows`; left out, it is `evaluate_rows`
     on `field`, and it stays so in a copy whose `field` is replaced.
+    `evaluate_rows` calls the float form when there is one, so training
+    and the certificates evaluate these systems' rows on Python floats too.
     """
 
     dim: int
@@ -89,8 +91,16 @@ class BurgersDiscretization:
 
 
 def evaluate_rows(fn: Callable[[Vector], np.ndarray], states: Matrix) -> np.ndarray:
-    """`fn` at each row of `states`, stacked (C x d x d for a Jacobian)."""
-    return np.array([fn(row) for row in states])
+    """`fn` at each row of `states`, stacked (C x d x d for a Jacobian).
+
+    A `fn` with a float form (`_on_floats`) is called through it on the
+    rows of `states.tolist()`: the same Python floats that `fn` would pass
+    it, so the result is bitwise that of the per-row array calls.
+    """
+    floats = getattr(fn, "floats", None)
+    if floats is None:
+        return np.array([fn(row) for row in states])
+    return np.array(list(map(floats, states.tolist())))
 
 
 def _on_floats(terms: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:

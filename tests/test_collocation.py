@@ -1,6 +1,8 @@
 """Quadrature rules, collocation residual/Jacobian, and the LM trainer."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,9 +35,11 @@ from rpnn_parareal.collocation import (
     collocation_nodes,
     quadrature_weights,
 )
+from rpnn_parareal.cli import ExperimentConfig, build_solver
 from rpnn_parareal.problems import BENCHMARK_NAMES, _on_floats, default_initial_state
 
-from conftest import constant_system, linear_system, sample_benchmark_state, zero_system
+from conftest import (assert_bitwise, constant_system, linear_system, sample_benchmark_state,
+                      zero_system)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +223,57 @@ def _block_loop_jacobian(basis, theta, x0, system):
     return np.kron(eye, basis.feat_prime) - dvec_f @ np.kron(eye, basis.feat_shifted)
 
 
-@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def _entry_formula_jacobian(basis, theta, x0, system):
+    """Reference assembly of the entry formula delta_jk Hp - DF_jk Hm, one
+    (j, k) block at a time, with 0 * Hp off the diagonal blocks: unlike the
+    block loop's matrix product, it fixes the signs of zero entries."""
+    hp, hm = basis.feat_prime, basis.feat_shifted
+    states = x0[np.newaxis, :] + hm @ theta
+    jacs = np.array([system.jacobian(state) for state in states])
+    (c_count, h_count), d = hp.shape, len(x0)
+    out = np.empty((d, c_count, d, h_count))
+    for j in range(d):
+        for k in range(d):
+            first = hp if j == k else 0.0 * hp
+            out[j, :, k, :] = first - jacs[:, j, k][:, np.newaxis] * hm
+    return out.reshape(d * c_count, d * h_count)
+
+
+def _float_form_linear_system(d, seed):
+    """x' = A x with float forms; A holds +0.0, -0.0 and negative entries."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    a[rng.random((d, d)) < 0.3] = 0.0
+    a[rng.random((d, d)) < 0.3] = -0.0
+    rows = a.tolist()
+
+    def field_terms(x):
+        return [sum(aij * xj for aij, xj in zip(row, x)) for row in rows]
+
+    return OdeSystem(d, _on_floats(field_terms),
+                     _on_floats(lambda x: [list(row) for row in rows]), f"linear{d}")
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES + ("linear51",))
 def test_residual_jacobian_equals_block_loop_reference(name):
-    system = make_benchmark(name)
+    """Equal values to the block loop, and equal bit patterns, so equal
+    signs of zeros too, to the entry formula; `linear51` is a float-form
+    system of the Burgers size."""
+    if name == "linear51":
+        system = _float_form_linear_system(51, seed=4)
+    else:
+        system = make_benchmark(name)
     rng = np.random.default_rng(17)
     for trial in range(4):
         basis = sample_basis(5, 5, [0.02, 0.2, 1.0, 0.375][trial], seed=trial)
-        x0 = sample_benchmark_state(name, rng, system)
+        if name == "linear51":
+            x0 = rng.uniform(-1.0, 1.0, 51)
+        else:
+            x0 = sample_benchmark_state(name, rng, system)
         theta = 1e-3 * rng.standard_normal((5, system.dim))
-        assert np.array_equal(residual_jacobian(basis, theta, x0, system),
-                              _block_loop_jacobian(basis, theta, x0, system))
+        got = residual_jacobian(basis, theta, x0, system)
+        assert np.array_equal(got, _block_loop_jacobian(basis, theta, x0, system))
+        assert_bitwise(got, _entry_formula_jacobian(basis, theta, x0, system))
 
 
 @pytest.mark.parametrize("name", ["sir", "lorenz", "brusselator"])
@@ -523,6 +568,194 @@ def test_regularized_fit_equals_reference_on_rober_intervals(monkeypatch):
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(report.cost_history, ref_report.cost_history)
         assert report == ref_report
+
+
+# The exact fit as it stood before its damped system was built once per
+# Jacobian: the loop below is that version verbatim, with the constants it
+# read then, less the regularized branch, which an exact fit never takes.
+_REF_FTOL = 1e-10
+_REF_XTOL = 1e-12
+
+
+def _reference_undamped_step(jac, rhs):
+    if jac.shape[0] == jac.shape[1]:
+        try:
+            return np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(jac, rhs, rcond=None)[0]
+
+
+def _reference_exact_fit(residual_fn, jacobian_fn, theta_init, opts):
+    assert opts.floor_to_gauss_newton
+    exact = True
+    theta = np.array(theta_init, dtype=float)
+    shape = theta.shape
+    r = residual_fn(theta)
+    cost = float(np.sum(r * r))
+    cost_history = [cost]
+    res_norm = math.sqrt(cost)
+    if res_norm <= _REF_RESIDUAL_TOL:
+        return theta, TrainReport(0, cost, _max_row_norm(r), 0, 0, "residual_tol",
+                                  tuple(cost_history))
+    lam = 0.0
+    iterations = accepted = rejected = 0
+    reason = None
+    need_jacobian = True
+    jac = diag = None
+    while reason is None and iterations < opts.max_iter:
+        iterations += 1
+        if need_jacobian:
+            jac = np.asarray(jacobian_fn(theta))
+            diag = np.einsum("ij,ij->j", jac, jac)
+            if np.min(diag) < _REF_MARQUARDT_DIAG_FLOOR:
+                diag = np.ones_like(diag)
+            need_jacobian = False
+        while True:
+            try:
+                if lam == 0.0:
+                    delta = _reference_undamped_step(jac, -_vec(r))
+                else:
+                    normal = jac.T @ jac
+                    normal.flat[:: normal.shape[0] + 1] += lam * diag
+                    delta = np.linalg.solve(normal, jac.T @ -_vec(r))
+                break
+            except np.linalg.LinAlgError as exc:
+                if lam >= _REF_LAMBDA_MAX:
+                    raise TrainingError(
+                        f"linear solve failed after damping escalation to {lam:.1e}"
+                    ) from exc
+                lam = min(lam * _REF_LAMBDA_INCREASE, _REF_LAMBDA_MAX) if lam else _REF_LAMBDA_INIT
+        theta_try = theta + _unvec(delta, shape)
+        r_try = residual_fn(theta_try)
+        cost_try = float(np.sum(r_try * r_try))
+        step_norm = float(np.linalg.norm(delta))
+        if cost_try < cost:
+            ftol_hit = exact and cost - cost_try <= _REF_FTOL * cost
+            xtol_hit = exact and step_norm <= _REF_XTOL * (
+                _REF_XTOL + float(np.linalg.norm(theta)))
+            theta, r, cost = theta_try, r_try, cost_try
+            accepted += 1
+            need_jacobian = True
+            cost_history.append(cost)
+            lam /= _REF_LAMBDA_DECREASE
+            if lam < _REF_LAMBDA_MIN:
+                lam = 0.0
+            if math.sqrt(cost) <= _REF_RESIDUAL_TOL:
+                reason = "residual_tol"
+            elif step_norm <= _REF_STEP_TOL:
+                reason = "step_tol"
+            elif xtol_hit:
+                reason = "xtol"
+            elif ftol_hit:
+                reason = "ftol"
+        else:
+            rejected += 1
+            if step_norm <= _REF_STEP_TOL:
+                reason = "step_tol"
+            else:
+                lam = min(lam * _REF_LAMBDA_INCREASE, _REF_LAMBDA_MAX) if lam else _REF_LAMBDA_INIT
+    return theta, TrainReport(
+        iterations, cost, _max_row_norm(r), accepted, rejected, reason or "max_iter",
+        tuple(cost_history),
+    )
+
+
+def _recorded_trainings(monkeypatch, config_dict):
+    """Every `train_coarse` call of the CLI run `config_dict`'s solve, with
+    its inputs and outputs."""
+    calls = []
+    real_train = parareal.train_coarse
+
+    def recording_train(basis, x0, system, theta_init, opts):
+        theta, report = real_train(basis, x0, system, theta_init, opts)
+        calls.append((basis, x0.copy(), system, theta_init, opts, theta, report))
+        return theta, report
+
+    monkeypatch.setattr(parareal, "train_coarse", recording_train)
+    system, x0, mesh, config = build_solver(ExperimentConfig.from_dict(config_dict))
+    parareal_solve(system, x0, mesh, config)
+    return calls
+
+
+def test_exact_fit_equals_reference_on_arenstorf_intervals(monkeypatch):
+    """Every training of a short Arenstorf run, warm starts and damped
+    retries included, gives bitwise the reference loop's weights, cost
+    history and report."""
+    calls = _recorded_trainings(monkeypatch, {
+        "benchmark": "arenstorf", "t_end": 1.632,
+        "mesh": {"kind": "uniform", "intervals": 12}, "rpnn": {"seed": 0}})
+    assert len(calls) >= 12
+    assert all(opts.floor_to_gauss_newton for *_, opts, _, _ in calls)
+    assert sum(report.rejected for *_, report in calls) > 0
+    for basis, x0, system, theta_init, opts, theta, report in calls:
+        ref_theta, ref_report = _reference_exact_fit(
+            lambda th: residual(basis, th, x0, system),
+            lambda th: residual_jacobian(basis, th, x0, system),
+            theta_init if theta_init is not None else np.zeros((basis.hidden, system.dim)),
+            opts)
+        assert np.array_equal(theta, ref_theta)
+        assert np.array_equal(report.cost_history, ref_report.cost_history)
+        assert report == ref_report
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "regularized"])
+def test_non_finite_field_jacobian_is_a_training_error(exact, capfd):
+    """DF = 0.5 / |x|**0.5 is infinite at x = 0: training names the field
+    Jacobian before a solve sees it, and LAPACK prints nothing."""
+    root = OdeSystem(1, _on_floats(lambda x: [abs(x[0]) ** 0.5 + 1.0]),
+                     _on_floats(lambda x: [[0.5 / abs(x[0]) ** 0.5]]), "root")
+    basis = sample_basis(5, 5, 0.1, seed=0)
+    with pytest.raises(TrainingError, match="field Jacobian returned non-finite values"):
+        train_coarse(basis, np.array([0.0]), root, None, LmOptions(floor_to_gauss_newton=exact))
+    assert capfd.readouterr().err == ""
+
+
+def test_training_calls_only_float_forms(monkeypatch):
+    """One reduced-ROBER training evaluates the field and its Jacobian only
+    through their float forms: C calls per residual and per Jacobian, and
+    no call of the array callables."""
+    calls = Counter()
+
+    def counted(fn, name):
+        def array(x):
+            calls[name] += 1
+            return fn(x)
+
+        def floats(values):
+            calls[name + ".floats"] += 1
+            return fn.floats(values)
+
+        array.floats = floats
+        return array
+
+    real_lm = collocation.levenberg_marquardt
+
+    def counting_lm(residual_fn, jacobian_fn, theta_init, opts):
+        def counted_residual(theta):
+            calls["residuals"] += 1
+            return residual_fn(theta)
+
+        def counted_jacobian(theta):
+            calls["jacobians"] += 1
+            return jacobian_fn(theta)
+
+        return real_lm(counted_residual, counted_jacobian, theta_init, opts)
+
+    monkeypatch.setattr(collocation, "levenberg_marquardt", counting_lm)
+    rober = make_benchmark("rober")
+    system = dataclasses.replace(rober, field=counted(rober.field, "field"),
+                                 jacobian=counted(rober.jacobian, "jacobian"))
+    basis = sample_basis(5, 5, 0.1, seed=1)
+    _, report = train_coarse(basis, default_initial_state("rober"), system, None,
+                             LmOptions(floor_to_gauss_newton=False))
+    assert report.iterations > 1
+    assert calls["field"] == calls["jacobian"] == 0
+    assert calls["residuals"] == 1 + report.iterations
+    assert calls["field.floats"] == basis.colloc * calls["residuals"]
+    assert calls["jacobians"] >= 1
+    assert calls["jacobian.floats"] == basis.colloc * calls["jacobians"]
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,31 @@ def test_arenstorf_far_state_where_r_cubed_overflows():
     assert np.array_equal(system.jacobian(x), expected_jac)
 
 
+_FLOAT_FORM_NAMES = [name for name in BENCHMARK_NAMES
+                     if hasattr(make_benchmark(name).field, "floats")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", _FLOAT_FORM_NAMES)
+def test_float_form_rows_equal_per_row_array_calls_bitwise(name):
+    """`evaluate_rows` calls a float form on the rows as lists; field and
+    Jacobian rows are bitwise the per-row array calls, also on Arenstorf
+    rows where Python floats raise and the float form retries on numpy
+    scalars (the primary's singularity, and a far state whose r**1.5
+    overflows)."""
+    system = make_benchmark(name)
+    rng = np.random.default_rng(8)
+    rows = [sample_benchmark_state(name, rng, system) for _ in range(6)]
+    if name == "arenstorf":
+        rows[2:2] = [[-_ARENSTORF_A, 0.0, 0.5, 0.0], [1e110, 0.0, 3.0, -2.0]]
+    states = np.array(rows)
+    for fn in (system.field, system.jacobian):
+        assert _bitwise_equal(evaluate_rows(fn, states), np.array([fn(x) for x in states]))
+    assert _bitwise_equal(system.field_rows(states), evaluate_rows(system.field, states))
+    if name == "arenstorf":
+        assert not np.isfinite(evaluate_rows(system.field, states)[2]).all()
+
+
 def test_make_benchmark_rejects_bad_input():
     with pytest.raises(ValueError):
         make_benchmark("heat")
