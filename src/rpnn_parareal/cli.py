@@ -394,7 +394,10 @@ def run_experiment(config: ExperimentConfig) -> RunArtifact:
     """Solve once, compare with the serial reference, write artifacts."""
     system, x0, mesh, pconfig = build_solver(config)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {str(out_dir)!r}: {exc}") from exc
     # Every file a run writes; a failed run removes them all, then writes meta.json.
     files = {
         "nodes": out_dir / "nodes.csv",

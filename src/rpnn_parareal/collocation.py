@@ -18,8 +18,9 @@ block I_d (x) Hp built once per training, and has two modes.
 The exact fit solves G = 0 by Newton's method, damping only after a rejected
 step.  The regularized fit keeps Marquardt damping on throughout, so that a
 stiff transient the ansatz cannot resolve still gets weights of moderate size.
-Either builds its damped system once per Jacobian and rewrites only its
-diagonal for each damping tried.
+Both solve every damped step through one set of normal equations, built once
+per Jacobian with only its diagonal rewritten for each damping tried; the two
+modes differ only in their damping schedule and their stopping tests.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def collocation_nodes(kind: str, c: int, dt: float) -> np.ndarray:
     """Collocation times in [0, dt]: equispaced or Gauss-Lobatto."""
     if c < 1:
         raise ValueError("need at least one collocation node")
-    if not dt > 0:
-        raise ValueError("interval length must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"interval length must be positive and finite, got {dt!r}")
     if kind == "uniform":
         if c == 1:
             return np.array([0.5 * dt])
@@ -264,8 +265,8 @@ class LmOptions:
     the relative stopping tests ftol and xtol.  Turned off, it makes a
     regularized fit: damping starts at 1e-3 and never drops below 1e-12, so
     the weights stay moderate where the ansatz cannot resolve a stiff
-    transient; each of its steps is a dense least-squares solve twice the
-    height of the Jacobian.
+    transient.  The modes differ only in that schedule and in the stopping
+    tests: both solve each damped step by the same normal equations.
     """
 
     max_iter: int = 100
@@ -322,10 +323,11 @@ def levenberg_marquardt(
 ) -> tuple[np.ndarray, TrainReport]:
     """Levenberg-Marquardt on vec(theta), in the fit mode `opts` selects.
 
-    A damped step solves (J^T J + lam * diag(J^T J)) delta = -J^T r, with
-    identity scaling when the Marquardt diagonal degenerates.  Steps are
-    accepted only if the cost strictly decreases; lam shrinks on acceptance
-    and grows on rejection.
+    A damped step solves the normal equations
+    (J^T J + lam * diag(J^T J)) delta = -J^T r, formed once per Jacobian,
+    with identity scaling when the Marquardt diagonal degenerates.  Steps
+    are accepted only if the cost strictly decreases; lam shrinks on
+    acceptance and grows on rejection.
 
     The exact fit starts at lam = 0, where the step is the undamped Newton
     step `_undamped_step`.  A rejection sets lam to 1e-3 and each further one
@@ -362,39 +364,24 @@ def levenberg_marquardt(
             # r changes only with an accepted step, which also asks for a new
             # Jacobian, so everything built here serves each damping tried.
             jac = np.asarray(jacobian_fn(theta))
-            (m, n), minus_r = jac.shape, -_vec(r)
+            minus_r = -_vec(r)
             diag = np.einsum("ij,ij->j", jac, jac)
             if diag.min() < _MARQUARDT_DIAG_FLOOR:
                 diag = np.ones_like(diag)
             need_jacobian = False
-            if exact:
-                normal = None  # J^T J and J^T (-r), formed at the first damped step
-            else:
-                # The augmented system [J; sqrt(lam*diag)], [-r; 0]: only the
-                # diagonal of its lower block changes with lam.
-                augmented = np.zeros((m + n, n))
-                augmented[:m] = jac
-                damping = augmented.reshape(-1)[m * n:: n + 1]
-                rhs = np.zeros(m + n)
-                rhs[:m] = minus_r
+            normal = None  # J^T J and J^T (-r), formed at the first damped step
         while True:
             try:
                 if lam == 0.0:
                     delta = _undamped_step(jac, minus_r)
-                elif exact:
+                else:
                     # The damped normal equations, in one buffer.
                     if normal is None:
                         normal, gradient = jac.T @ jac, jac.T @ minus_r
-                        normal_diagonal = normal.reshape(-1)[:: n + 1]
+                        normal_diagonal = normal.reshape(-1)[:: len(diag) + 1]
                         undamped_diagonal = normal_diagonal.copy()
                     np.add(undamped_diagonal, lam * diag, out=normal_diagonal)
                     delta = np.linalg.solve(normal, gradient)
-                else:
-                    # The same damped normal equations, solved as the
-                    # augmented least-squares system to avoid squaring the
-                    # conditioning of J.
-                    np.sqrt(lam * diag, out=damping)
-                    delta = np.linalg.lstsq(augmented, rhs, rcond=None)[0]
                 break
             except np.linalg.LinAlgError as exc:
                 if lam >= _LAMBDA_MAX:

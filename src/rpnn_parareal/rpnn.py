@@ -18,6 +18,7 @@ loop exactly.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ logger = logging.getLogger(__name__)
 # conditioning does not.  The limit leaves room for short intervals, where
 # cond grows like (1/dt)^(C-1) for every draw (at dt = 1e-2 the median draw
 # is already ~1e13), and a tighter gate would reject every draw on the
-# benchmark meshes.  The exact fit takes LU Newton steps there (least squares
-# only on a singular Jacobian); the regularized fit solves damped least squares.
+# benchmark meshes.  The trainer takes LU Newton steps there (least squares
+# only on a singular Jacobian) and solves its damped steps by the normal
+# equations.
 _COND_LIMIT = 1e14
 _MAX_RESAMPLES = 10
 
@@ -87,10 +89,8 @@ def sample_basis(
     """
     if hidden != colloc or hidden < 1:
         raise ValueError("this ansatz requires hidden == colloc >= 1")
-    if not dt > 0:
-        raise ValueError("interval length must be positive")
     lo, hi = bounds
-    if not lo < hi:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid weight bounds {bounds!r}")
     nodes = collocation_nodes(node_kind, colloc, dt)
     for attempt in range(_MAX_RESAMPLES + 1):

@@ -450,3 +450,16 @@ def test_main_rejects_infinite_tol_flag_with_exit_2(tmp_path, capsys):
     assert main(["--config", str(config), "--seed", "0", "--tol", "inf"]) == 2
     assert "tol must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# An --out that names a file, or a path under one, died in mkdir with exit 1.
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "below-file"])
+def test_main_rejects_unusable_output_directory_with_exit_2(tmp_path, capsys, inside):
+    blocker = tmp_path / "F"
+    blocker.write_text("kept\n")
+    out = blocker / "run" if inside else blocker
+    assert main(["--benchmark", "sir", "--seed", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(out) in err
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]

@@ -75,6 +75,16 @@ def test_sample_basis_validation():
         sample_basis(5, 5, 1.0, bounds=(1.0, -1.0))
 
 
+# These raised OverflowError from numpy and LinAlgError from the SVD.
+@pytest.mark.parametrize("dt, bounds", [
+    (0.1, (-np.inf, 1.0)), (0.1, (-1.0, np.inf)), (0.1, (np.nan, 1.0)),
+    (np.inf, (-1.0, 1.0)), (np.nan, (-1.0, 1.0)),
+], ids=["low-inf", "high-inf", "low-nan", "dt-inf", "dt-nan"])
+def test_sample_basis_rejects_non_finite_input(dt, bounds):
+    with pytest.raises(ValueError, match="weight bounds|interval length"):
+        sample_basis(5, 5, dt, bounds=bounds)
+
+
 def test_no_resample_exhaustion_over_many_seeds():
     for seed in range(1000):
         basis = sample_basis(5, 5, 1.0, seed=seed)
