@@ -43,6 +43,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -213,14 +214,36 @@ def _integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _real(name: str, value):
+    """`value` if it is a real number; a bool or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _reals(name: str, values) -> list:
+    """`values` if it is a list (or tuple) of real numbers, as a list."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of real numbers, got {values!r}")
+    return [_real(f"{name} entry", value) for value in values]
+
+
+def _boolean(name: str, value) -> bool:
+    """`value` if it is a bool; JSON `true` and `false` are, "false" and 0 are not."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def build_solver(config: ExperimentConfig
                  ) -> tuple[OdeSystem, np.ndarray, TimeMesh, PararealConfig]:
     """Map a config to the system, initial state, mesh and solver settings.
 
     The objects built check their own arguments; this adds the checks that
     span several of them (fine-step divisibility, state length) or that no
-    object makes (integer settings are integral, a certified run's grid has
-    quadrature weights).  Any ValueError or TypeError becomes a ConfigError.
+    object makes (integer settings are integral, real ones are numbers and
+    switches are bools, a certified run's grid has quadrature weights).
+    Any ValueError or TypeError becomes a ConfigError.
     An unpinned seed is drawn fresh here; nothing is sampled or solved.
     """
     try:
@@ -231,34 +254,36 @@ def build_solver(config: ExperimentConfig
                 {**config.params, "initial_condition": config.burgers_ic},
             )
         else:
-            x0 = np.asarray(config.initial_state, dtype=float)
+            x0 = np.asarray(_reals("initial_state", config.initial_state), dtype=float)
             if x0.shape != (system.dim,):
                 raise ValueError(f"initial_state has shape {x0.shape}, "
                                  f"benchmark dimension is {system.dim}")
             if not np.all(np.isfinite(x0)):
                 raise ValueError("initial_state must be finite")
 
+        t0, t_end = _real("t0", config.t0), _real("t_end", config.t_end)
         kind = config.mesh["kind"]
         if kind not in _MESH_SIZE_KEYS:
             raise ValueError(f"unknown mesh kind {kind!r}")
         if _MESH_SIZE_KEYS[kind] not in config.mesh:
             raise ValueError(f"{kind} mesh needs {_MESH_SIZE_KEYS[kind]!r}")
         if kind == "uniform":
-            mesh = TimeMesh.uniform(config.t0, config.t_end,
+            mesh = TimeMesh.uniform(t0, t_end,
                                     _integer("mesh intervals", config.mesh["intervals"], 1))
         else:
             mesh = TimeMesh.from_blocks(
-                [(float(a), float(b), _integer("mesh block count", n, 1))
+                [(float(_real("mesh block start", a)), float(_real("mesh block end", b)),
+                  _integer("mesh block count", n, 1))
                  for a, b, n in config.mesh["blocks"]])
             span = (float(mesh.nodes[0]), float(mesh.nodes[-1]))
-            if span != (config.t0, config.t_end):
+            if span != (t0, t_end):
                 raise ValueError(f"mesh blocks span {list(span)}, "
-                                 f"not [t0, t_end] = {[config.t0, config.t_end]}")
+                                 f"not [t0, t_end] = {[t0, t_end]}")
 
         fine = FineMethod(
             kind=config.fine["kind"],
-            dt=float(config.fine["dt"]),
-            newton=NewtonOptions(tol=float(config.fine["newton_tol"]),
+            dt=float(_real("fine dt", config.fine["dt"])),
+            newton=NewtonOptions(tol=float(_real("fine newton_tol", config.fine["newton_tol"])),
                                  max_iter=_integer("fine newton_max_iter",
                                                    config.fine["newton_max_iter"], 1)),
         )
@@ -269,18 +294,19 @@ def build_solver(config: ExperimentConfig
         seed = rpnn["seed"]
         solver = PararealConfig(
             fine=fine,
-            tol=config.tol,
+            tol=_real("tol", config.tol),
             max_it=_integer("max_it", config.max_it, 1),
             hidden=_integer("rpnn hidden", rpnn["hidden"], 1),
             colloc=_integer("rpnn colloc", rpnn["colloc"], 1),
             node_kind=rpnn["node_kind"],
-            weight_bounds=tuple(rpnn["bounds"]),
+            weight_bounds=tuple(_reals("rpnn bounds", rpnn["bounds"])),
             seed=(int(np.random.SeedSequence().generate_state(1)[0]) if seed is None
                   else _integer("rpnn seed", seed, 0)),
             workers=_integer("workers", config.workers, 1),
-            lm=LmOptions(floor_to_gauss_newton=bool(rpnn["gauss_newton_floor"])),
+            lm=LmOptions(floor_to_gauss_newton=_boolean("rpnn gauss_newton_floor",
+                                                        rpnn["gauss_newton_floor"])),
         )
-        if config.certify:
+        if _boolean("certify", config.certify):
             collocation_grid(solver.node_kind, solver.colloc, 1.0)  # the certificates' grid
         _integer("dense_samples", config.dense_samples, 2)
         if not isinstance(config.out_dir, str):
@@ -506,7 +532,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--certify", action="store_true",
                         help="attach per-interval error certificates to meta.json")
     parser.add_argument("--tol", type=float, help="stopping tolerance")
-    parser.add_argument("--max-it", type=int, help="iteration cap")
+    parser.add_argument("--max-it", type=int,
+                        help="iteration cap, counting the zeroth sweep: at most max-it - 1 "
+                             "corrected iterations, so 1 runs the zeroth sweep only and exits 3")
     return parser
 
 

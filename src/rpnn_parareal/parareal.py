@@ -81,6 +81,9 @@ class TimeMesh:
 class PararealConfig:
     """Solver settings; tolerance and iteration cap follow the benchmark setup.
 
+    `max_it` counts the zeroth sweep: a run makes at most `max_it - 1`
+    corrected iterations, so `max_it = 1` runs the zeroth sweep only and
+    never converges.
     Training inside the driver keeps damping active even once the schedule
     floors: exact collocation fits of under-resolved stiff transients have
     huge outer weights, which makes the coarse map erratic across iterations.

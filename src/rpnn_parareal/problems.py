@@ -52,7 +52,7 @@ class OdeSystem:
     # Nothing in the package reads it; the benchmark script `bench/run.py`
     # builds `BurgersJacobianOperator` from it.
     spatial: "BurgersDiscretization | None" = None
-    # Burgers passes its matrix form; left out, it is `evaluate_rows` on `field`.
+    # Burgers passes its field, which takes a stack; left out, it is `evaluate_rows` on `field`.
     field_rows: "Callable[[Matrix], Matrix] | None" = None
 
     def __post_init__(self):
@@ -73,7 +73,7 @@ class BurgersDiscretization:
 
     Boundary rows of both stencil matrices are zeroed so the assembled field
     keeps homogeneous Dirichlet values pinned: boundary derivatives are 0.
-    Its methods are the Burgers system's field, Jacobian and row field.
+    Its methods are the Burgers system's Jacobian and field, also its row field.
     """
 
     viscosity: float
@@ -81,13 +81,10 @@ class BurgersDiscretization:
     d2: Matrix
 
     def field(self, u: Vector) -> Vector:
-        return -u * (self.d1 @ u) + self.viscosity * (self.d2 @ u)
+        return -u * (u @ self.d1.T) + self.viscosity * (u @ self.d2.T)
 
     def jacobian(self, u: Vector) -> Matrix:
-        return -np.diag(self.d1 @ u) - np.diag(u) @ self.d1 + self.viscosity * self.d2
-
-    def field_rows(self, states: Matrix) -> Matrix:
-        return -states * (states @ self.d1.T) + self.viscosity * (states @ self.d2.T)
+        return -np.diag(self.d1 @ u) - u[:, np.newaxis] * self.d1 + self.viscosity * self.d2
 
 
 def evaluate_rows(fn: Callable[[Vector], np.ndarray], states: Matrix) -> np.ndarray:
@@ -278,14 +275,11 @@ def burgers_semidiscretize(
     if not (np.isfinite(nu) and nu >= 0):
         raise ValueError(f"viscosity must be nonnegative and finite, got {nu}")
     dx = 1.0 / (n - 1)
+    i = np.arange(1, n - 1)
     d1 = np.zeros((n, n))
     d2 = np.zeros((n, n))
-    for i in range(1, n - 1):
-        d1[i, i - 1] = -1.0 / (2.0 * dx)
-        d1[i, i + 1] = 1.0 / (2.0 * dx)
-        d2[i, i - 1] = 1.0 / dx**2
-        d2[i, i] = -2.0 / dx**2
-        d2[i, i + 1] = 1.0 / dx**2
+    d1[i, i - 1], d1[i, i + 1] = -1.0 / (2.0 * dx), 1.0 / (2.0 * dx)
+    d2[i, i - 1], d2[i, i], d2[i, i + 1] = 1.0 / dx**2, -2.0 / dx**2, 1.0 / dx**2
     disc = BurgersDiscretization(nu, d1, d2)
     system = OdeSystem(
         n,
@@ -295,7 +289,7 @@ def burgers_semidiscretize(
         {"nu": nu, "grid_size": float(n)},
         labels=tuple(f"u{i}" for i in range(n)),
         spatial=disc,
-        field_rows=disc.field_rows,
+        field_rows=disc.field,
     )
     return system, disc
 

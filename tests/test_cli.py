@@ -442,6 +442,41 @@ def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys, settings):
     assert not out.exists()
 
 
+# Values of the wrong JSON type, each with the key its message names.  Each
+# ran: "false" and "no" are truthy, true is taken as 1, and "0.01" went
+# through float() and was echoed as a string in meta.json.
+_MISTYPED_SIR_SETTINGS = {
+    "string-gauss_newton_floor": ({"rpnn": {"gauss_newton_floor": "false"}},
+                                  "rpnn gauss_newton_floor"),
+    "number-gauss_newton_floor": ({"rpnn": {"gauss_newton_floor": 0}}, "rpnn gauss_newton_floor"),
+    "string-certify": ({"certify": "no"}, "certify"),
+    "bool-tol": ({"tol": True}, "tol"),
+    "bool-t_end": ({"t_end": True}, "t_end"),
+    "string-t0": ({"t0": "0"}, "t0"),
+    "bool-newton_tol": ({"fine": {"newton_tol": True}}, "fine newton_tol"),
+    "bool-bounds-entry": ({"rpnn": {"bounds": [True, 2]}}, "rpnn bounds entry"),
+    "string-bounds": ({"rpnn": {"bounds": "-1,1"}}, "rpnn bounds"),
+    "string-fine-dt": ({"fine": {"dt": "0.01"}}, "fine dt"),
+    "string-initial_state-entry": ({"initial_state": ["0.3", 0.5, 0.2]}, "initial_state entry"),
+    "bool-initial_state-entry": ({"initial_state": [0.3, 0.5, True]}, "initial_state entry"),
+    "string-block-end": ({"benchmark": "rober", "t_end": 1.0, "fine": {"dt": 1e-3},
+                          "mesh": {"kind": "blocks", "blocks": [[0.0, "1.0", 2]]}},
+                         "mesh block end"),
+}
+
+
+@pytest.mark.parametrize("settings, key", _MISTYPED_SIR_SETTINGS.values(),
+                         ids=_MISTYPED_SIR_SETTINGS.keys())
+def test_main_rejects_mistyped_config_value_with_exit_2(tmp_path, capsys, settings, key):
+    out = tmp_path / "out"
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"benchmark": "sir", "out_dir": str(out), **settings}))
+    assert main(["--config", str(config), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be" in err
+    assert not out.exists()
+
+
 # An infinite tol accepted the zeroth sweep as converged after 0 iterations.
 def test_main_rejects_infinite_tol_flag_with_exit_2(tmp_path, capsys):
     out = tmp_path / "out"

@@ -76,7 +76,7 @@ def test_linear_system_jacobian_is_constant():
 def test_jacobian_matches_finite_differences(name):
     """The analytic Jacobian matches central differences, and the row path
     gives each state's Jacobian bitwise (and, on the closed-form systems,
-    each state's field; the Burgers matrix form is checked to 1e-12 below)."""
+    each state's field; the Burgers stack form is pinned further down)."""
     system = make_benchmark(name)
     rng = np.random.default_rng(42)
     states = np.array([sample_benchmark_state(name, rng, system) for _ in range(20)])
@@ -259,6 +259,25 @@ def test_burgers_field_vanishes_at_zero():
     assert np.array_equal(system.field(np.zeros(51)), np.zeros(51))
 
 
+# The grid sizes on which the Burgers forms are pinned to the reference
+# expressions below, bitwise.
+_BURGERS_GRIDS = (3, 4, 5, 17, 51, 101)
+
+
+def _reference_stencils(n):
+    """The stencils filled row by row, as the first semi-discretization did."""
+    dx = 1.0 / (n - 1)
+    d1 = np.zeros((n, n))
+    d2 = np.zeros((n, n))
+    for i in range(1, n - 1):
+        d1[i, i - 1] = -1.0 / (2.0 * dx)
+        d1[i, i + 1] = 1.0 / (2.0 * dx)
+        d2[i, i - 1] = 1.0 / dx**2
+        d2[i, i] = -2.0 / dx**2
+        d2[i, i + 1] = 1.0 / dx**2
+    return d1, d2
+
+
 def test_burgers_interior_stencils():
     _, disc = burgers_semidiscretize(5, 1.0 / 50.0)
     u = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
@@ -268,6 +287,10 @@ def test_burgers_interior_stencils():
     for i in (1, 2, 3):
         assert d1u[i] == pytest.approx((u[i + 1] - u[i - 1]) / (2 * dx), rel=1e-14)
         assert d2u[i] == pytest.approx((u[i + 1] - 2 * u[i] + u[i - 1]) / dx**2, rel=1e-14)
+    for n in _BURGERS_GRIDS:
+        _, disc = burgers_semidiscretize(n, 1.0 / 50.0)
+        d1, d2 = _reference_stencils(n)
+        assert _bitwise_equal(disc.d1, d1) and _bitwise_equal(disc.d2, d2), n
 
 
 def test_burgers_inviscid_hand_value():
@@ -291,6 +314,8 @@ def test_burgers_boundary_rows_zero():
 
 
 def test_burgers_jacobian_matches_fd_at_sine_profile():
+    """The Jacobian matches central differences, and on random states it is
+    bitwise the dense product form -diag(D1 u) - diag(u) D1 + nu D2."""
     system, _ = burgers_semidiscretize(51, 1.0 / 50.0)
     x = np.arange(51) / 50.0
     u = np.sin(2.0 * np.pi * x)
@@ -298,6 +323,14 @@ def test_burgers_jacobian_matches_fd_at_sine_profile():
     fd = central_fd_jacobian(system.field, u)
     err = np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)
     assert err <= 1e-6
+    rng = np.random.default_rng(5)
+    for n in _BURGERS_GRIDS:
+        for nu in (1.0 / 50.0, 0.0):
+            system, disc = burgers_semidiscretize(n, nu)
+            for _ in range(20):
+                u = rng.standard_normal(n)
+                reference = -np.diag(disc.d1 @ u) - np.diag(u) @ disc.d1 + nu * disc.d2
+                assert _bitwise_equal(system.jacobian(u), reference), (n, nu)
 
 
 def test_burgers_rejects_tiny_grid():
@@ -306,12 +339,26 @@ def test_burgers_rejects_tiny_grid():
 
 
 def test_burgers_batched_field_rows_match_per_state_field():
+    """The row field is the field.  On one state it is bitwise the
+    matrix-vector form -u * (D1 u) + nu * (D2 u); on a C x d stack it is
+    bitwise the matrix-matrix form, whose rows agree with the per-state
+    values to round-off only."""
     system, _ = burgers_semidiscretize(51, 1.0 / 50.0)
     rng = np.random.default_rng(3)
     states = rng.standard_normal((5, 51))
     rows = system.field_rows(states)
     for c in range(5):
         np.testing.assert_allclose(rows[c], system.field(states[c]), atol=1e-12)
+    for n in _BURGERS_GRIDS:
+        system, disc = burgers_semidiscretize(n, 1.0 / 50.0)
+        d1, d2, nu = disc.d1, disc.d2, disc.viscosity
+        assert system.field_rows == system.field == disc.field
+        for c in range(1, 30, 4):
+            u = rng.standard_normal(n)
+            assert _bitwise_equal(system.field(u), -u * (d1 @ u) + nu * (d2 @ u)), n
+            states = rng.standard_normal((c, n))
+            reference = -states * (states @ d1.T) + nu * (states @ d2.T)
+            assert _bitwise_equal(system.field_rows(states), reference), (n, c)
 
 
 def test_burgers_initial_conditions_vanish_at_boundary():
