@@ -10,11 +10,15 @@ respect to vec(theta) (column stacking) is
 
     I_d (x) Hp - dvecF/dvecX . (I_d (x) (H - H0)),
 
-square when there are as many hidden units as collocation nodes; F and DF on
-the C node states come from `system.field_rows` and `evaluate_rows`, which
-call the float forms of the closed-form systems on the rows as lists.  The
-trainer works on this dense Jacobian for every system, with its constant
-block I_d (x) Hp built once per training, and has two modes.
+square when there are as many hidden units as collocation nodes.  F and DF
+on the C node states come from `system.field_rows` and `evaluate_rows`; on
+the closed-form systems the trainer keeps the states as rows of Python
+floats and reads both through their float forms by `problems._float_rows`,
+the loop `evaluate_rows` runs.  The states are evaluated once per trial
+weights: the residual keeps them for the Jacobian, which is asked for only
+at the weights of an accepted trial.  The trainer works on this dense
+Jacobian for every system, with its constant block I_d (x) Hp built once
+per training, and has two modes.
 The exact fit solves G = 0 by Newton's method, damping only after a rejected
 step.  The regularized fit keeps Marquardt damping on throughout, so that a
 stiff transient the ansatz cannot resolve still gets weights of moderate size.
@@ -27,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .integrators import SolverError, check_count
-from .problems import BurgersDiscretization, OdeSystem, evaluate_rows
+from .problems import BurgersDiscretization, OdeSystem, _float_rows, evaluate_rows
 
 if TYPE_CHECKING:
     from .rpnn import RpnnBasis
@@ -164,20 +169,40 @@ def collocation_states(basis: "RpnnBasis", theta: np.ndarray, x0: np.ndarray) ->
     return x0[np.newaxis, :] + basis.feat_shifted @ theta
 
 
+def _at_nodes(states: np.ndarray | list, floats: Callable | None,
+              rows_fn: Callable[[np.ndarray], np.ndarray], what: str) -> np.ndarray:
+    """F or DF at the node states, stacked; a non-finite value raises
+    `TrainingError`, naming `what`.
+
+    The states are a C x d array, read by `rows_fn`, or its rows as lists
+    of floats, read by the float form `floats` through `_float_rows`, whose
+    Python floats are then tested for finiteness as they are.
+    """
+    if isinstance(states, list):
+        values, flat = _float_rows(floats, states, (len(states), len(states[0])))
+        finite = all(map(math.isfinite, flat))
+    else:
+        values = rows_fn(states)
+        finite = np.isfinite(values).all()
+    if not finite:
+        raise TrainingError(f"{what} returned non-finite values at collocation states")
+    return values
+
+
 def residual(
     basis: "RpnnBasis", theta: np.ndarray, x0: np.ndarray, system: OdeSystem
 ) -> np.ndarray:
     """Collocation residual G = Hp theta - F(states), F from `system.field_rows`."""
-    f_rows = system.field_rows(collocation_states(basis, theta, x0))
-    if not np.isfinite(f_rows).all():
-        raise TrainingError("vector field returned non-finite values at collocation states")
-    return basis.feat_prime @ theta - f_rows
+    states = collocation_states(basis, theta, x0)
+    return basis.feat_prime @ theta - _at_nodes(states, None, system.field_rows, "vector field")
 
 
 def _residual_jacobian_of(
     basis: "RpnnBasis", x0: np.ndarray, system: OdeSystem
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """`residual_jacobian(basis, theta, x0, system)` as a function of theta.
+    """`residual_jacobian(basis, theta, x0, system)` as a function of the
+    node states `collocation_states(basis, theta, x0)`, as an array or as
+    float rows (`_at_nodes`).
 
     Rows of vec(G) are (j, c) and columns of vec(theta) (k, h), so the
     Jacobian is the (d, C, d, H) array delta_jk * Hp[c, h] - DF_c[j, k] *
@@ -190,11 +215,11 @@ def _residual_jacobian_of(
     hp, hm = basis.feat_prime, basis.feat_shifted[:, np.newaxis, :]
     (c_count, h_count), d = hp.shape, len(x0)
     frame = np.eye(d)[:, np.newaxis, :, np.newaxis] * hp[:, np.newaxis, :]
+    floats = getattr(system.jacobian, "floats", None)
+    rows_fn = partial(evaluate_rows, system.jacobian)
 
-    def jacobian(theta):
-        jacs = evaluate_rows(system.jacobian, collocation_states(basis, theta, x0))
-        if not np.isfinite(jacs).all():
-            raise TrainingError("field Jacobian returned non-finite values at collocation states")
+    def jacobian(states):
+        jacs = _at_nodes(states, floats, rows_fn, "field Jacobian")
         blocks = np.multiply(jacs.transpose(1, 0, 2)[:, :, :, np.newaxis], hm,
                              out=np.empty(frame.shape))
         return np.subtract(frame, blocks, out=blocks).reshape(d * c_count, d * h_count)
@@ -211,7 +236,7 @@ def residual_jacobian(
     DF comes from `evaluate_rows`; only `system.jacobian` is read, so
     `system` may be a `BurgersDiscretization`.
     """
-    return _residual_jacobian_of(basis, x0, system)(theta)
+    return _residual_jacobian_of(basis, x0, system)(collocation_states(basis, theta, x0))
 
 
 class BurgersJacobianOperator:
@@ -341,14 +366,17 @@ def levenberg_marquardt(
 
     `jacobian_fn` may return anything `np.asarray` turns into the dense
     Jacobian of vec(r) with respect to vec(theta); the trainer works on that
-    matrix.
+    matrix.  It is asked only at the very array `residual_fn` was last
+    called with (the start or an accepted trial), and no array passed to
+    either is written to, so `residual_fn` may keep what it computed there
+    for `jacobian_fn`, as `train_coarse`'s does with the node states.
     """
     opts = opts or LmOptions()
     exact = opts.floor_to_gauss_newton
     theta = np.array(theta_init, dtype=float)
     shape = theta.shape
     r = residual_fn(theta)
-    cost = float(np.sum(r * r))
+    cost = float(np.add.reduce(r * r, axis=None))  # np.sum's pairwise sum, called directly
     cost_history = [cost]
     res_norm = math.sqrt(cost)
     if res_norm <= _RESIDUAL_TOL:
@@ -364,7 +392,7 @@ def levenberg_marquardt(
             # r changes only with an accepted step, which also asks for a new
             # Jacobian, so everything built here serves each damping tried.
             jac = np.asarray(jacobian_fn(theta))
-            minus_r = -_vec(r)
+            minus_r = -r.ravel(order="F")
             diag = np.einsum("ij,ij->j", jac, jac)
             if diag.min() < _MARQUARDT_DIAG_FLOOR:
                 diag = np.ones_like(diag)
@@ -389,9 +417,9 @@ def levenberg_marquardt(
                         f"linear solve failed after damping escalation to {lam:.1e}"
                     ) from exc
                 lam = _raise_damping(lam)
-        theta_try = theta + _unvec(delta, shape)
+        theta_try = theta + delta.reshape(shape, order="F")
         r_try = residual_fn(theta_try)
-        cost_try = float(np.sum(r_try * r_try))
+        cost_try = float(np.add.reduce(r_try * r_try, axis=None))
         step_norm = _norm(delta)
         if cost_try < cost:
             ftol_hit = exact and cost - cost_try <= _FTOL * cost
@@ -433,15 +461,36 @@ def train_coarse(
     """Fit the outer-layer weights so the ansatz satisfies the ODE at the nodes.
 
     Both fit modes train on the dense `residual_jacobian`, whose constant
-    block is built once per call.
+    block is built once per call.  The residual and Jacobian handed to
+    `levenberg_marquardt` are bitwise `residual` and `residual_jacobian`;
+    the Jacobian reuses the node states of the last residual call when
+    asked at those weights.
     """
     opts = opts or LmOptions()
-    h_count = basis.feat_prime.shape[1]
+    hp, hs = basis.feat_prime, basis.feat_shifted
     if theta_init is None:
-        theta_init = np.zeros((h_count, system.dim))
+        theta_init = np.zeros((hp.shape[1], system.dim))
+    x0_row = x0[np.newaxis, :]
+    field_rows, floats = system.field_rows, getattr(system.field, "floats", None)
+    # Float rows when both F and DF have float forms and F's rows are the
+    # default `evaluate_rows`, which would read them through that form.
+    on_floats = (floats is not None and hasattr(system.jacobian, "floats")
+                 and getattr(field_rows, "func", None) is evaluate_rows)
+    jacobian_at = _residual_jacobian_of(basis, x0, system)
+    last = [None, None]  # the weights of the last residual call and its node states
+
+    def node_states(theta):
+        states = x0_row + hs @ theta
+        return states.tolist() if on_floats else states
 
     def residual_fn(theta):
-        return residual(basis, theta, x0, system)
+        states = node_states(theta)
+        last[:] = theta, states
+        return hp @ theta - _at_nodes(states, floats, field_rows, "vector field")
 
-    return levenberg_marquardt(residual_fn, _residual_jacobian_of(basis, x0, system),
-                               theta_init, opts)
+    def jacobian_fn(theta):
+        # levenberg_marquardt asks for a Jacobian only at the weights its last
+        # residual call saw, and writes to no weights it has passed.
+        return jacobian_at(last[1] if theta is last[0] else node_states(theta))
+
+    return levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts)

@@ -131,6 +131,9 @@ class PararealResult:
     error_history: list[float]
     converged: bool
     timings: dict
+    # One report per interval per sweep: an interval whose node state is
+    # unchanged is not retrained and repeats its previous report, so a sum of
+    # `iterations` counts that training again.
     train_reports: list[list[TrainReport]]
     trace: list[np.ndarray] | None = None
 

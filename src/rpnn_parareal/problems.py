@@ -10,6 +10,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import partial
+from itertools import chain
 from typing import Any, Callable
 
 import numpy as np
@@ -90,14 +91,29 @@ class BurgersDiscretization:
 def evaluate_rows(fn: Callable[[Vector], np.ndarray], states: Matrix) -> np.ndarray:
     """`fn` at each row of `states`, stacked (C x d x d for a Jacobian).
 
-    A `fn` with a float form (`_on_floats`) is called through it on the
-    rows of `states.tolist()`: the same Python floats that `fn` would pass
-    it, so the result is bitwise that of the per-row array calls.
+    A `fn` with a float form (`_on_floats`) is called through it by
+    `_float_rows` on the rows of `states.tolist()`: the same Python floats
+    that `fn` would pass it, so the result is bitwise that of the per-row
+    array calls.
     """
     floats = getattr(fn, "floats", None)
     if floats is None:
         return np.array([fn(row) for row in states])
-    return np.array(list(map(floats, states.tolist())))
+    return _float_rows(floats, states.tolist(), states.shape)[0]
+
+
+def _float_rows(floats: Callable[[list], list], rows: list, shape: tuple[int, int]
+                ) -> tuple[np.ndarray, list]:
+    """A float form at each of `rows`, a C x d matrix of states of shape
+    `shape` as lists of floats: its values stacked (C x d, or C x d x d for
+    a Jacobian) and the same values in one flat list.  numpy builds the
+    stack from the flat list faster than from the nested lists.
+    """
+    values = list(chain.from_iterable(map(floats, rows)))
+    if values and isinstance(values[0], list):  # a Jacobian's rows
+        values = list(chain.from_iterable(values))
+        shape += shape[1:]
+    return np.array(values).reshape(shape), values
 
 
 def _on_floats(terms: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:

@@ -6,6 +6,25 @@ import pytest
 from rpnn_parareal import OdeSystem
 
 
+def _blas_settings():
+    threads = ", ".join(f"{name}={os.environ[name]}"
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                        if name in os.environ)
+    return f"numpy {np.__version__}; BLAS threads: {threads or 'not set'}"
+
+
+def pytest_report_header(config):
+    """numpy's version and the BLAS thread settings: the bitwise pins hold
+    at a fixed BLAS thread count (README, notes on determinism)."""
+    return _blas_settings()
+
+
+def pytest_terminal_summary(terminalreporter):
+    # -q drops the header, so a quiet log gets the settings at its end.
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(_blas_settings())
+
+
 def pytest_collection_modifyitems(config, items):
     if os.environ.get("RPNN_PARAREAL_RUN_SLOW") == "1":
         return

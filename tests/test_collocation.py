@@ -38,8 +38,8 @@ from rpnn_parareal.collocation import (
 from rpnn_parareal.cli import ExperimentConfig, build_solver
 from rpnn_parareal.problems import BENCHMARK_NAMES, _on_floats, default_initial_state
 
-from conftest import (assert_bitwise, constant_system, linear_system, sample_benchmark_state,
-                      zero_system)
+from conftest import (assert_bitwise, benchmark_network, constant_system, linear_system,
+                      sample_benchmark_state, zero_system)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,9 @@ def test_residual_at_a_float_form_pole_is_a_training_error():
     basis = sample_basis(5, 5, 1.0, seed=0)
     with pytest.raises(TrainingError, match="non-finite"):
         residual(basis, np.zeros((5, 1)), np.array([2.0]), pole)
+    # Training reads the float form on float rows and tests those floats.
+    with pytest.raises(TrainingError, match="vector field returned non-finite values"):
+        train_coarse(basis, np.array([2.0]), pole)
 
 
 def test_residual_scalar_entry_formula():
@@ -753,6 +756,58 @@ def test_exact_fit_equals_reference_on_arenstorf_intervals(monkeypatch):
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(report.cost_history, ref_report.cost_history)
         assert report == ref_report
+
+
+def test_exact_fit_equals_reference_on_burgers_intervals(monkeypatch):
+    """Every training of the short Burgers sine run gives bitwise the
+    reference loop's weights, cost history and report.  Burgers has no float
+    forms, so this pins the trainer's array path; the ROBER and Arenstorf
+    pins above run on float rows."""
+    calls = _recorded_trainings(monkeypatch, {
+        "benchmark": "burgers", "burgers_ic": "sine", "t_end": 0.08,
+        "mesh": {"kind": "uniform", "intervals": 4}, "rpnn": {"seed": 11}})
+    assert len(calls) >= 4
+    assert all(opts.floor_to_gauss_newton for *_, opts, _, _ in calls)
+    for basis, x0, system, theta_init, opts, theta, report in calls:
+        ref_theta, ref_report = _reference_normal_equations_fit(
+            lambda th: residual(basis, th, x0, system),
+            lambda th: residual_jacobian(basis, th, x0, system),
+            theta_init if theta_init is not None else np.zeros((basis.hidden, system.dim)),
+            opts)
+        assert np.array_equal(theta, ref_theta)
+        assert np.array_equal(report.cost_history, ref_report.cost_history)
+        assert report == ref_report
+
+
+def _training_maps(monkeypatch, basis, x0, system):
+    """The residual and Jacobian functions `train_coarse` hands the trainer."""
+    maps = []
+
+    def capture(residual_fn, jacobian_fn, theta_init, opts):
+        maps.append((residual_fn, jacobian_fn))
+        return theta_init, None
+
+    monkeypatch.setattr(collocation, "levenberg_marquardt", capture)
+    train_coarse(basis, x0, system)
+    return maps[0]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_training_jacobian_reuses_only_its_residual_states(monkeypatch, name):
+    """The trainer's Jacobian reads the node states of the last residual
+    call when asked at those very weights, and evaluates them afresh at any
+    other weights, an equal copy included; each result, and each residual,
+    is bitwise the public function's at the weights asked."""
+    system, x0, basis, theta = benchmark_network(name, seed=3)
+    residual_fn, jacobian_fn = _training_maps(monkeypatch, basis, x0, system)
+    other = theta + 1e-3
+    assert_bitwise(residual_fn(theta), residual(basis, theta, x0, system))
+    expected = residual_jacobian(basis, theta, x0, system)
+    assert_bitwise(jacobian_fn(theta), expected)
+    assert_bitwise(jacobian_fn(other), residual_jacobian(basis, other, x0, system))
+    assert_bitwise(jacobian_fn(theta.copy()), expected)
+    assert_bitwise(residual_fn(other), residual(basis, other, x0, system))
+    assert_bitwise(jacobian_fn(theta), expected)
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero")
