@@ -23,8 +23,10 @@ The exact fit solves G = 0 by Newton's method, damping only after a rejected
 step.  The regularized fit keeps Marquardt damping on throughout, so that a
 stiff transient the ansatz cannot resolve still gets weights of moderate size.
 Both solve every damped step through one set of normal equations, built once
-per Jacobian with only its diagonal rewritten for each damping tried; the two
-modes differ only in their damping schedule and their stopping tests.
+per Jacobian with only its diagonal rewritten for each damping tried.  The
+regularized fit also corrects each such step once by J itself, and stops once
+an accepted step no longer moves the network's value at t = dt, the coarse
+endpoint, beyond round-off.
 """
 
 from __future__ import annotations
@@ -290,8 +292,10 @@ class LmOptions:
     the relative stopping tests ftol and xtol.  Turned off, it makes a
     regularized fit: damping starts at 1e-3 and never drops below 1e-12, so
     the weights stay moderate where the ansatz cannot resolve a stiff
-    transient.  The modes differ only in that schedule and in the stopping
-    tests: both solve each damped step by the same normal equations.
+    transient; it corrects each damped step once by J, and in
+    `train_coarse` it also stops once an accepted step moves the coarse
+    endpoint by at most 1e-12 of its size.  Both modes solve each damped
+    step by the same normal equations.
     """
 
     max_iter: int = 100
@@ -299,6 +303,9 @@ class LmOptions:
 
     def __post_init__(self):
         check_count("max_iter", self.max_iter)
+        if not isinstance(self.floor_to_gauss_newton, (bool, np.bool_)):
+            raise ValueError(f"floor_to_gauss_newton must be a bool, got "
+                             f"{self.floor_to_gauss_newton!r}")
 
 
 @dataclass(frozen=True)
@@ -345,14 +352,18 @@ def levenberg_marquardt(
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
     theta_init: np.ndarray,
     opts: LmOptions | None = None,
+    endpoint: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, TrainReport]:
     """Levenberg-Marquardt on vec(theta), in the fit mode `opts` selects.
 
     A damped step solves the normal equations
     (J^T J + lam * diag(J^T J)) delta = -J^T r, formed once per Jacobian,
-    with identity scaling when the Marquardt diagonal degenerates.  Steps
-    are accepted only if the cost strictly decreases; lam shrinks on
-    acceptance and grows on rejection.
+    with identity scaling when the Marquardt diagonal degenerates.  The
+    regularized fit adds to delta the solution for the right-hand side
+    J^T (-r - J delta) - lam diag(J^T J) delta (corrected semi-normal
+    equations), which makes its step about as accurate as a least-squares
+    solve of the damped system.  Steps are accepted only if the cost
+    strictly decreases; lam shrinks on acceptance and grows on rejection.
 
     The exact fit starts at lam = 0, where the step is the undamped Newton
     step `_undamped_step`.  A rejection sets lam to 1e-3 and each further one
@@ -362,7 +373,12 @@ def levenberg_marquardt(
     Terminations: "residual_tol" (||r|| <= 1e-10), "step_tol"
     (||delta|| <= 1e-12), "max_iter", and in the exact fit also, after an
     accepted step, "ftol" (it lowered the cost by at most 1e-10 of it) and
-    "xtol" (||delta|| <= 1e-12 (1e-12 + ||theta||)).
+    "xtol" (||delta|| <= 1e-12 (1e-12 + ||theta||)).  Given
+    `endpoint = (phi, x0)`, the regularized fit also stops after an accepted
+    step with "endpoint_xtol" when the step moves the endpoint x0 + phi^T
+    theta of a 2-D theta by ||phi^T delta|| <= 1e-12 (1e-12 + ||x0 + phi^T
+    theta||): xtol on the value a coarse propagator steps with.  The exact
+    fit ignores `endpoint`.
 
     `jacobian_fn` may return anything `np.asarray` turns into the dense
     Jacobian of vec(r) with respect to vec(theta); the trainer works on that
@@ -373,6 +389,7 @@ def levenberg_marquardt(
     """
     opts = opts or LmOptions()
     exact = opts.floor_to_gauss_newton
+    phi, x0 = (None, None) if exact or endpoint is None else endpoint
     theta = np.array(theta_init, dtype=float)
     shape = theta.shape
     r = residual_fn(theta)
@@ -410,6 +427,11 @@ def levenberg_marquardt(
                         undamped_diagonal = normal_diagonal.copy()
                     np.add(undamped_diagonal, lam * diag, out=normal_diagonal)
                     delta = np.linalg.solve(normal, gradient)
+                    if not exact:
+                        # One correction by J itself: forming J^T J squares
+                        # J's condition number, which the step should not.
+                        fix = jac.T @ (minus_r - jac @ delta) - lam * diag * delta
+                        delta += np.linalg.solve(normal, fix)
                 break
             except np.linalg.LinAlgError as exc:
                 if lam >= _LAMBDA_MAX:
@@ -417,13 +439,16 @@ def levenberg_marquardt(
                         f"linear solve failed after damping escalation to {lam:.1e}"
                     ) from exc
                 lam = _raise_damping(lam)
-        theta_try = theta + delta.reshape(shape, order="F")
+        step = delta.reshape(shape, order="F")
+        theta_try = theta + step
         r_try = residual_fn(theta_try)
         cost_try = float(np.add.reduce(r_try * r_try, axis=None))
         step_norm = _norm(delta)
         if cost_try < cost:
             ftol_hit = exact and cost - cost_try <= _FTOL * cost
             xtol_hit = exact and step_norm <= _XTOL * (_XTOL + _norm(theta))
+            endpoint_hit = phi is not None and (
+                _norm(phi @ step) <= _XTOL * (_XTOL + _norm(x0 + phi @ theta)))
             theta, r, cost = theta_try, r_try, cost_try
             accepted += 1
             need_jacobian = True
@@ -439,6 +464,8 @@ def levenberg_marquardt(
                 reason = "xtol"
             elif ftol_hit:
                 reason = "ftol"
+            elif endpoint_hit:
+                reason = "endpoint_xtol"
         else:
             rejected += 1
             if step_norm <= _STEP_TOL:
@@ -464,7 +491,8 @@ def train_coarse(
     block is built once per call.  The residual and Jacobian handed to
     `levenberg_marquardt` are bitwise `residual` and `residual_jacobian`;
     the Jacobian reuses the node states of the last residual call when
-    asked at those weights.
+    asked at those weights.  The trainer also gets the feature row phi of
+    `eval_network` at t = dt, for the regularized fit's "endpoint_xtol".
     """
     opts = opts or LmOptions()
     hp, hs = basis.feat_prime, basis.feat_shifted
@@ -493,4 +521,5 @@ def train_coarse(
         # residual call saw, and writes to no weights it has passed.
         return jacobian_at(last[1] if theta is last[0] else node_states(theta))
 
-    return levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts)
+    phi = np.tanh(basis.a * basis.dt + basis.b) - basis.sigma_b
+    return levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts, endpoint=(phi, x0))

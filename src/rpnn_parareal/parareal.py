@@ -87,6 +87,8 @@ class PararealConfig:
     Training inside the driver keeps damping active even once the schedule
     floors: exact collocation fits of under-resolved stiff transients have
     huge outer weights, which makes the coarse map erratic across iterations.
+    `fine` must be a `FineMethod` and `lm` an `LmOptions`; `lm=None` is
+    refused rather than read as the exact fit.
     `workers` is accepted and validated but has no effect: the fine sweep
     runs in the calling thread.
     """
@@ -104,6 +106,10 @@ class PararealConfig:
     lm: LmOptions = dc_field(default_factory=lambda: LmOptions(floor_to_gauss_newton=False))
 
     def __post_init__(self):
+        if not isinstance(self.fine, FineMethod):
+            raise ValueError(f"fine must be a FineMethod, got {self.fine!r}")
+        if not isinstance(self.lm, LmOptions):
+            raise ValueError(f"lm must be an LmOptions, got {self.lm!r}")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         check_count("max_it", self.max_it)

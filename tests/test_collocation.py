@@ -401,6 +401,14 @@ def test_lm_options_validation():
         LmOptions(max_iter=0)
 
 
+# A truthy string selected the exact fit.
+@pytest.mark.parametrize("floor", ["false", 1, None], ids=["string", "int", "none"])
+def test_lm_options_reject_non_bool_fit_mode(floor):
+    with pytest.raises(ValueError, match="floor_to_gauss_newton must be a bool"):
+        LmOptions(floor_to_gauss_newton=floor)
+    assert not LmOptions(floor_to_gauss_newton=np.bool_(False)).floor_to_gauss_newton
+
+
 # A fractional cap ran as its ceiling (2.5 ran 3 iterations).
 @pytest.mark.parametrize("max_iter", [2.5, True, "3", None],
                          ids=["fractional", "bool", "string", "none"])
@@ -410,7 +418,7 @@ def test_lm_options_reject_non_integer_max_iter(max_iter):
 
 
 EXACT = LmOptions(floor_to_gauss_newton=True)
-TERMINATIONS = {"residual_tol", "step_tol", "ftol", "xtol", "max_iter"}
+TERMINATIONS = {"residual_tol", "step_tol", "ftol", "xtol", "endpoint_xtol", "max_iter"}
 
 
 def test_exact_fit_square_linear_system_is_one_newton_step():
@@ -474,8 +482,9 @@ def test_exact_fit_trains_burgers_with_dense_jacobian(monkeypatch):
 # augmented least-squares system [J; sqrt(lam*diag)] delta = [-r; 0] by
 # LAPACK's SVD-based lstsq: the loop below is the version from before the
 # exact fit became Newton-first, verbatim, with the constants it read then,
-# less its matrix-free branch, which no dense Jacobian reaches.  It is kept as
-# the yardstick for the fit's quality.
+# less its matrix-free branch, which no dense Jacobian reaches, plus the
+# endpoint xtol test added since, when given an `endpoint`.  It is kept as the
+# yardstick for the fit's quality.
 _REF_RESIDUAL_TOL = 1e-10
 _REF_STEP_TOL = 1e-12
 _REF_LAMBDA_INIT = 1e-3
@@ -486,7 +495,7 @@ _REF_LAMBDA_MAX = 1e10
 _REF_MARQUARDT_DIAG_FLOOR = 1e-14
 
 
-def _reference_levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts):
+def _reference_levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts, endpoint=None):
     theta = np.array(theta_init, dtype=float)
     shape = theta.shape
     r = residual_fn(theta)
@@ -533,6 +542,7 @@ def _reference_levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts):
         cost_try = float(np.sum(r_try * r_try))
         step_norm = float(np.linalg.norm(delta))
         if cost_try < cost:
+            endpoint_hit = _reference_endpoint_hit(endpoint, opts, delta, theta)
             theta, r, cost = theta_try, r_try, cost_try
             accepted += 1
             need_jacobian = True
@@ -543,6 +553,9 @@ def _reference_levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts):
                 break
             if step_norm <= _REF_STEP_TOL:
                 reason = "step_tol"
+                break
+            if endpoint_hit:
+                reason = "endpoint_xtol"
                 break
         else:
             rejected += 1
@@ -556,24 +569,61 @@ def _reference_levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts):
     )
 
 
+def _endpoint_row(basis):
+    """The feature row of `eval_network` at t = dt, by its own expression."""
+    return np.tanh(np.multiply.outer(basis.dt, basis.a) + basis.b) - basis.sigma_b
+
+
+def _reference_endpoint_hit(endpoint, opts, delta, theta):
+    """The regularized fit's endpoint xtol on an accepted step from theta."""
+    if endpoint is None or opts.floor_to_gauss_newton:
+        return False
+    phi, x0 = endpoint
+    move = float(np.linalg.norm(phi @ _unvec(delta, theta.shape)))
+    return move <= _REF_XTOL * (_REF_XTOL + float(np.linalg.norm(x0 + phi @ theta)))
+
+
 def test_regularized_fit_equals_reference_on_rober_intervals(monkeypatch):
     """Every training of the reduced ROBER run, warm starts included, gives
     bitwise the plain normal-equations loop's weights, cost history and
-    report."""
+    report, endpoint xtol included."""
     calls = _rober_trainings(monkeypatch, seed=1)
+    assert any(report.termination == "endpoint_xtol" for *_, report in calls)
     for basis, x0, system, theta_init, opts, theta, report in calls:
         ref_theta, ref_report = _reference_normal_equations_fit(
             lambda th: residual(basis, th, x0, system),
             lambda th: residual_jacobian(basis, th, x0, system),
-            theta_init, opts)
+            theta_init, opts, endpoint=(_endpoint_row(basis), x0))
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(report.cost_history, ref_report.cost_history)
         assert report == ref_report
 
 
+def test_only_the_regularized_fit_stops_on_the_endpoint():
+    """A step moves an endpoint whose feature row is zero by nothing: the
+    regularized fit given that endpoint stops at its first accepted step,
+    while the exact fit, and any fit given no endpoint, runs as before."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((8, 6))
+    b = rng.standard_normal(8)
+    maps = (lambda th: a @ _vec(th) - b, lambda th: a, np.zeros((3, 2)))
+    frozen = (np.zeros(3), np.ones(2))
+    regularized = LmOptions(floor_to_gauss_newton=False)
+    _, report = levenberg_marquardt(*maps, regularized, endpoint=frozen)
+    assert (report.termination, report.iterations, report.accepted) == ("endpoint_xtol", 1, 1)
+    _, free = levenberg_marquardt(*maps, regularized)
+    assert free.termination != "endpoint_xtol" and free.iterations > 1
+    theta, report = levenberg_marquardt(*maps, EXACT, endpoint=frozen)
+    ref_theta, ref_report = levenberg_marquardt(*maps, EXACT)
+    assert report.termination != "endpoint_xtol"
+    assert np.array_equal(theta, ref_theta) and report == ref_report
+
+
 # How much higher the final cost of a training may end than the least-squares
-# loop's.  Over seeds 0 to 7 it ended at most 7.0e-4 higher (seed 5; 5.6e-4 at
-# seed 1) and at most 9.8e-3 lower (seed 6, a fit stopped at the iteration cap).
+# loop's.  Over seeds 0 to 7 it ended at most 3.5e-7 higher (seed 0): the
+# regularized fit corrects each normal-equations step once by J.  Without that
+# correction it ended up to 1.2e-3 higher (seed 1, interval 14, a fit both
+# loops end at the residual tolerance), and at the parent up to 7.0e-4.
 _REGULARIZED_COST_RTOL = 1e-3
 
 
@@ -590,7 +640,7 @@ def test_regularized_fit_matches_least_squares_loop_on_rober_intervals(monkeypat
         _, ref_report = _reference_levenberg_marquardt(
             lambda th: residual(basis, th, x0, system),
             lambda th: residual_jacobian(basis, th, x0, system),
-            theta_init, opts)
+            theta_init, opts, endpoint=(_endpoint_row(basis), x0))
         assert (report.iterations, report.accepted, report.rejected, report.termination) == (
             ref_report.iterations, ref_report.accepted, ref_report.rejected,
             ref_report.termination)
@@ -616,7 +666,9 @@ def test_regularized_fit_needs_no_least_squares_solve(monkeypatch):
 # read then, less the regularized branch, which an exact fit never takes.
 # With `opts` selecting the regularized fit it runs the regularized damping
 # schedule instead (lam starts at 1e-3 and is floored at 1e-12, ftol and xtol
-# off), which makes it the plain normal-equations form of that fit.
+# off), which makes it the plain normal-equations form of that fit; with the
+# corrections added since, it corrects each damped step once by J and, given
+# an `endpoint`, takes the endpoint xtol test.
 _REF_FTOL = 1e-10
 _REF_XTOL = 1e-12
 
@@ -630,7 +682,8 @@ def _reference_undamped_step(jac, rhs):
     return np.linalg.lstsq(jac, rhs, rcond=None)[0]
 
 
-def _reference_normal_equations_fit(residual_fn, jacobian_fn, theta_init, opts):
+def _reference_normal_equations_fit(residual_fn, jacobian_fn, theta_init, opts,
+                                    endpoint=None):
     exact = opts.floor_to_gauss_newton
     theta = np.array(theta_init, dtype=float)
     shape = theta.shape
@@ -662,6 +715,9 @@ def _reference_normal_equations_fit(residual_fn, jacobian_fn, theta_init, opts):
                     normal = jac.T @ jac
                     normal.flat[:: normal.shape[0] + 1] += lam * diag
                     delta = np.linalg.solve(normal, jac.T @ -_vec(r))
+                    if not exact:
+                        fix = jac.T @ (-_vec(r) - jac @ delta) - lam * diag * delta
+                        delta = delta + np.linalg.solve(normal, fix)
                 break
             except np.linalg.LinAlgError as exc:
                 if lam >= _REF_LAMBDA_MAX:
@@ -677,6 +733,7 @@ def _reference_normal_equations_fit(residual_fn, jacobian_fn, theta_init, opts):
             ftol_hit = exact and cost - cost_try <= _REF_FTOL * cost
             xtol_hit = exact and step_norm <= _REF_XTOL * (
                 _REF_XTOL + float(np.linalg.norm(theta)))
+            endpoint_hit = _reference_endpoint_hit(endpoint, opts, delta, theta)
             theta, r, cost = theta_try, r_try, cost_try
             accepted += 1
             need_jacobian = True
@@ -692,6 +749,8 @@ def _reference_normal_equations_fit(residual_fn, jacobian_fn, theta_init, opts):
                 reason = "xtol"
             elif ftol_hit:
                 reason = "ftol"
+            elif endpoint_hit:
+                reason = "endpoint_xtol"
         else:
             rejected += 1
             if step_norm <= _REF_STEP_TOL:
@@ -783,7 +842,7 @@ def _training_maps(monkeypatch, basis, x0, system):
     """The residual and Jacobian functions `train_coarse` hands the trainer."""
     maps = []
 
-    def capture(residual_fn, jacobian_fn, theta_init, opts):
+    def capture(residual_fn, jacobian_fn, theta_init, opts, endpoint=None):
         maps.append((residual_fn, jacobian_fn))
         return theta_init, None
 
@@ -843,7 +902,7 @@ def test_training_calls_only_float_forms(monkeypatch):
 
     real_lm = collocation.levenberg_marquardt
 
-    def counting_lm(residual_fn, jacobian_fn, theta_init, opts):
+    def counting_lm(residual_fn, jacobian_fn, theta_init, opts, endpoint=None):
         def counted_residual(theta):
             calls["residuals"] += 1
             return residual_fn(theta)
@@ -852,7 +911,7 @@ def test_training_calls_only_float_forms(monkeypatch):
             calls["jacobians"] += 1
             return jacobian_fn(theta)
 
-        return real_lm(counted_residual, counted_jacobian, theta_init, opts)
+        return real_lm(counted_residual, counted_jacobian, theta_init, opts, endpoint=endpoint)
 
     monkeypatch.setattr(collocation, "levenberg_marquardt", counting_lm)
     rober = make_benchmark("rober")
