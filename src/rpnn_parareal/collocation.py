@@ -24,9 +24,10 @@ step.  The regularized fit keeps Marquardt damping on throughout, so that a
 stiff transient the ansatz cannot resolve still gets weights of moderate size.
 Both solve every damped step through one set of normal equations, built once
 per Jacobian with only its diagonal rewritten for each damping tried.  The
-regularized fit also corrects each such step once by J itself, and stops once
-an accepted step no longer moves the network's value at t = dt, the coarse
-endpoint, beyond round-off.
+regularized fit also corrects each such step once by J itself.  Both stop
+once an accepted step no longer moves the network's value at t = dt, the
+coarse endpoint, beyond round-off, and the exact fit also once a rejected
+Newton step does not.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ _MARQUARDT_DIAG_FLOOR = 1e-14
 # Levenberg-Marquardt stopping rules and damping schedule.
 _RESIDUAL_TOL = 1e-10
 _STEP_TOL = 1e-12
-# Relative stopping tests of the exact fit on an accepted step, after MINPACK
-# (More 1978): ftol on its cost decrease against the previous cost, xtol on
-# its norm against xtol + ||theta||.
+# Relative stopping tests on an accepted step, after MINPACK (More 1978): in
+# the exact fit ftol on its cost decrease against the previous cost and xtol
+# on its norm against xtol + ||theta||; in both fits xtol on the coarse
+# endpoint.
 _FTOL = 1e-10
 _XTOL = 1e-12
 _LAMBDA_INIT = 1e-3
@@ -292,10 +294,10 @@ class LmOptions:
     the relative stopping tests ftol and xtol.  Turned off, it makes a
     regularized fit: damping starts at 1e-3 and never drops below 1e-12, so
     the weights stay moderate where the ansatz cannot resolve a stiff
-    transient; it corrects each damped step once by J, and in
-    `train_coarse` it also stops once an accepted step moves the coarse
-    endpoint by at most 1e-12 of its size.  Both modes solve each damped
-    step by the same normal equations.
+    transient; it corrects each damped step once by J.  Both modes solve
+    each damped step by the same normal equations, and in `train_coarse`
+    both stop once an accepted step, or in the exact fit a rejected Newton
+    step, moves the coarse endpoint by at most 1e-12 of its size.
     """
 
     max_iter: int = 100
@@ -374,11 +376,14 @@ def levenberg_marquardt(
     (||delta|| <= 1e-12), "max_iter", and in the exact fit also, after an
     accepted step, "ftol" (it lowered the cost by at most 1e-10 of it) and
     "xtol" (||delta|| <= 1e-12 (1e-12 + ||theta||)).  Given
-    `endpoint = (phi, x0)`, the regularized fit also stops after an accepted
-    step with "endpoint_xtol" when the step moves the endpoint x0 + phi^T
-    theta of a 2-D theta by ||phi^T delta|| <= 1e-12 (1e-12 + ||x0 + phi^T
-    theta||): xtol on the value a coarse propagator steps with.  The exact
-    fit ignores `endpoint`.
+    `endpoint = (phi, x0)`, both fits also stop after an accepted step with
+    "endpoint_xtol" when the step moves the endpoint x0 + phi^T theta of a
+    2-D theta by ||phi^T delta|| <= 1e-12 (1e-12 + ||x0 + phi^T theta||):
+    xtol on the value a coarse propagator steps with.  The exact fit also
+    stops so after a rejected undamped step that passes this test, and
+    returns the weights it had: a full Newton step is the largest move it
+    makes from theta, so a damped retry has nothing left to gain at the
+    endpoint.  A rejected damped step never stops on it.
 
     `jacobian_fn` may return anything `np.asarray` turns into the dense
     Jacobian of vec(r) with respect to vec(theta); the trainer works on that
@@ -389,7 +394,7 @@ def levenberg_marquardt(
     """
     opts = opts or LmOptions()
     exact = opts.floor_to_gauss_newton
-    phi, x0 = (None, None) if exact or endpoint is None else endpoint
+    phi, x0 = (None, None) if endpoint is None else endpoint
     theta = np.array(theta_init, dtype=float)
     shape = theta.shape
     r = residual_fn(theta)
@@ -400,6 +405,11 @@ def levenberg_marquardt(
         return theta, TrainReport(0, cost, _max_row_norm(r), 0, 0, "residual_tol",
                                   tuple(cost_history))
     lam = 0.0 if exact else _LAMBDA_INIT
+    theta_norm = _norm(theta)
+    if phi is not None:
+        # ||x0 + phi^T theta|| <= ||x0|| + ||phi|| ||theta||, doubled so that
+        # rounding cannot lift the computed norm above the bound.
+        x0_bound, phi_bound = 2.0 * _norm(x0), 2.0 * _norm(phi)
     iterations = accepted = rejected = 0
     reason = None
     need_jacobian = True
@@ -444,12 +454,18 @@ def levenberg_marquardt(
         r_try = residual_fn(theta_try)
         cost_try = float(np.add.reduce(r_try * r_try, axis=None))
         step_norm = _norm(delta)
+        endpoint_hit = False
+        if phi is not None and (cost_try < cost or lam == 0.0):
+            # xtol on the coarse endpoint x0 + phi^T theta; the endpoint is
+            # formed only for a move that passes the test against its bound.
+            move = _norm(phi @ step)
+            endpoint_hit = (move <= _XTOL * (_XTOL + x0_bound + phi_bound * theta_norm)
+                            and move <= _XTOL * (_XTOL + _norm(x0 + phi @ theta)))
         if cost_try < cost:
             ftol_hit = exact and cost - cost_try <= _FTOL * cost
-            xtol_hit = exact and step_norm <= _XTOL * (_XTOL + _norm(theta))
-            endpoint_hit = phi is not None and (
-                _norm(phi @ step) <= _XTOL * (_XTOL + _norm(x0 + phi @ theta)))
+            xtol_hit = exact and step_norm <= _XTOL * (_XTOL + theta_norm)
             theta, r, cost = theta_try, r_try, cost_try
+            theta_norm = _norm(theta)
             accepted += 1
             need_jacobian = True
             cost_history.append(cost)
@@ -470,6 +486,10 @@ def levenberg_marquardt(
             rejected += 1
             if step_norm <= _STEP_TOL:
                 reason = "step_tol"
+            elif endpoint_hit:
+                # An undamped step: not even the full Newton step moved the
+                # endpoint beyond round-off, so a damped retry cannot gain there.
+                reason = "endpoint_xtol"
             else:
                 lam = _raise_damping(lam)
     return theta, TrainReport(
@@ -492,7 +512,7 @@ def train_coarse(
     `levenberg_marquardt` are bitwise `residual` and `residual_jacobian`;
     the Jacobian reuses the node states of the last residual call when
     asked at those weights.  The trainer also gets the feature row phi of
-    `eval_network` at t = dt, for the regularized fit's "endpoint_xtol".
+    `eval_network` at t = dt, for "endpoint_xtol" in both fit modes.
     """
     opts = opts or LmOptions()
     hp, hs = basis.feat_prime, basis.feat_shifted

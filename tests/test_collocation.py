@@ -542,7 +542,7 @@ def _reference_levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts, e
         cost_try = float(np.sum(r_try * r_try))
         step_norm = float(np.linalg.norm(delta))
         if cost_try < cost:
-            endpoint_hit = _reference_endpoint_hit(endpoint, opts, delta, theta)
+            endpoint_hit = _reference_endpoint_hit(endpoint, delta, theta)
             theta, r, cost = theta_try, r_try, cost_try
             accepted += 1
             need_jacobian = True
@@ -574,9 +574,9 @@ def _endpoint_row(basis):
     return np.tanh(np.multiply.outer(basis.dt, basis.a) + basis.b) - basis.sigma_b
 
 
-def _reference_endpoint_hit(endpoint, opts, delta, theta):
-    """The regularized fit's endpoint xtol on an accepted step from theta."""
-    if endpoint is None or opts.floor_to_gauss_newton:
+def _reference_endpoint_hit(endpoint, delta, theta):
+    """The endpoint xtol on a step delta from theta."""
+    if endpoint is None:
         return False
     phi, x0 = endpoint
     move = float(np.linalg.norm(phi @ _unvec(delta, theta.shape)))
@@ -599,24 +599,52 @@ def test_regularized_fit_equals_reference_on_rober_intervals(monkeypatch):
         assert report == ref_report
 
 
-def test_only_the_regularized_fit_stops_on_the_endpoint():
-    """A step moves an endpoint whose feature row is zero by nothing: the
-    regularized fit given that endpoint stops at its first accepted step,
-    while the exact fit, and any fit given no endpoint, runs as before."""
+def test_endpoint_stop_after_accepted_and_rejected_newton_steps():
+    """A step moves an endpoint whose feature row is zero by nothing.  Given
+    that endpoint, both fits stop at their first accepted step, and the
+    exact fit also at a rejected Newton step, returning its start unchanged.
+    A rejected damped step stops neither fit."""
     rng = np.random.default_rng(4)
     a = rng.standard_normal((8, 6))
     b = rng.standard_normal(8)
-    maps = (lambda th: a @ _vec(th) - b, lambda th: a, np.zeros((3, 2)))
+    linear = (lambda th: a @ _vec(th) - b, lambda th: a, np.zeros((3, 2)))
     frozen = (np.zeros(3), np.ones(2))
     regularized = LmOptions(floor_to_gauss_newton=False)
-    _, report = levenberg_marquardt(*maps, regularized, endpoint=frozen)
-    assert (report.termination, report.iterations, report.accepted) == ("endpoint_xtol", 1, 1)
-    _, free = levenberg_marquardt(*maps, regularized)
-    assert free.termination != "endpoint_xtol" and free.iterations > 1
-    theta, report = levenberg_marquardt(*maps, EXACT, endpoint=frozen)
-    ref_theta, ref_report = levenberg_marquardt(*maps, EXACT)
-    assert report.termination != "endpoint_xtol"
-    assert np.array_equal(theta, ref_theta) and report == ref_report
+    for opts in (EXACT, regularized):
+        _, report = levenberg_marquardt(*linear, opts, endpoint=frozen)
+        assert (report.termination, report.iterations, report.accepted) == ("endpoint_xtol", 1, 1)
+        _, free = levenberg_marquardt(*linear, opts)
+        assert free.termination != "endpoint_xtol" and free.iterations > 1
+
+    # Rosenbrock's valley from (-1.2, 1): the Newton step and the step damped
+    # by 1e-3 both raise the cost, and the step damped by 1e-2 lowers it.
+    def res(th):
+        t = _vec(th)
+        return np.array([1.0 - t[0], 10.0 * (t[1] - t[0] ** 2)])
+
+    def jac(th):
+        return np.array([[-1.0, 0.0], [-20.0 * _vec(th)[0], 10.0]])
+
+    start = np.array([[-1.2], [1.0]])
+    valley = (res, jac, start)
+    frozen = (np.zeros(2), np.ones(1))
+    theta, report = levenberg_marquardt(*valley, EXACT, endpoint=frozen)
+    assert_bitwise(theta, start)
+    assert (report.termination, report.iterations, report.rejected) == ("endpoint_xtol", 1, 1)
+    assert report.final_cost == report.cost_history[0] == float(np.sum(res(start) ** 2))
+    # The regularized fit's first step, damped by 1e-3, is rejected.
+    _, report = levenberg_marquardt(*valley, regularized, endpoint=frozen)
+    assert (report.termination, report.accepted, report.rejected) == ("endpoint_xtol", 1, 1)
+    # A feature row orthogonal to the exact fit's step damped by 1e-3 leaves
+    # the endpoint where it is on that rejected step, and the fit goes on.
+    j, r = jac(start), res(start)
+    damped = np.linalg.solve(j.T @ j + 1e-3 * np.diag(np.sum(j * j, axis=0)), -j.T @ r)
+    across = (np.array([-damped[1], damped[0]]), np.ones(1))
+    assert abs(across[0] @ damped) <= 1e-12 * np.linalg.norm(across[1] + across[0] @ start)
+    theta, report = levenberg_marquardt(*valley, EXACT, endpoint=across)
+    free_theta, free = levenberg_marquardt(*valley, EXACT)
+    assert report.rejected >= 2 and report.termination == "residual_tol"
+    assert_bitwise(theta, free_theta) and report == free
 
 
 # How much higher the final cost of a training may end than the least-squares
@@ -668,7 +696,8 @@ def test_regularized_fit_needs_no_least_squares_solve(monkeypatch):
 # schedule instead (lam starts at 1e-3 and is floored at 1e-12, ftol and xtol
 # off), which makes it the plain normal-equations form of that fit; with the
 # corrections added since, it corrects each damped step once by J and, given
-# an `endpoint`, takes the endpoint xtol test.
+# an `endpoint`, takes the endpoint xtol test after an accepted step and, in
+# the exact fit, after a rejected undamped one.
 _REF_FTOL = 1e-10
 _REF_XTOL = 1e-12
 
@@ -733,7 +762,7 @@ def _reference_normal_equations_fit(residual_fn, jacobian_fn, theta_init, opts,
             ftol_hit = exact and cost - cost_try <= _REF_FTOL * cost
             xtol_hit = exact and step_norm <= _REF_XTOL * (
                 _REF_XTOL + float(np.linalg.norm(theta)))
-            endpoint_hit = _reference_endpoint_hit(endpoint, opts, delta, theta)
+            endpoint_hit = _reference_endpoint_hit(endpoint, delta, theta)
             theta, r, cost = theta_try, r_try, cost_try
             accepted += 1
             need_jacobian = True
@@ -755,6 +784,8 @@ def _reference_normal_equations_fit(residual_fn, jacobian_fn, theta_init, opts,
             rejected += 1
             if step_norm <= _REF_STEP_TOL:
                 reason = "step_tol"
+            elif lam == 0.0 and _reference_endpoint_hit(endpoint, delta, theta):
+                reason = "endpoint_xtol"
             else:
                 lam = min(lam * _REF_LAMBDA_INCREASE, _REF_LAMBDA_MAX) if lam else _REF_LAMBDA_INIT
     return theta, TrainReport(
@@ -811,7 +842,7 @@ def test_exact_fit_equals_reference_on_arenstorf_intervals(monkeypatch):
             lambda th: residual(basis, th, x0, system),
             lambda th: residual_jacobian(basis, th, x0, system),
             theta_init if theta_init is not None else np.zeros((basis.hidden, system.dim)),
-            opts)
+            opts, endpoint=(_endpoint_row(basis), x0))
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(report.cost_history, ref_report.cost_history)
         assert report == ref_report
@@ -819,20 +850,21 @@ def test_exact_fit_equals_reference_on_arenstorf_intervals(monkeypatch):
 
 def test_exact_fit_equals_reference_on_burgers_intervals(monkeypatch):
     """Every training of the short Burgers sine run gives bitwise the
-    reference loop's weights, cost history and report.  Burgers has no float
-    forms, so this pins the trainer's array path; the ROBER and Arenstorf
-    pins above run on float rows."""
+    reference loop's weights, cost history and report, endpoint xtol
+    included.  Burgers has no float forms, so this pins the trainer's array
+    path; the ROBER and Arenstorf pins above run on float rows."""
     calls = _recorded_trainings(monkeypatch, {
         "benchmark": "burgers", "burgers_ic": "sine", "t_end": 0.08,
         "mesh": {"kind": "uniform", "intervals": 4}, "rpnn": {"seed": 11}})
     assert len(calls) >= 4
     assert all(opts.floor_to_gauss_newton for *_, opts, _, _ in calls)
+    assert any(report.termination == "endpoint_xtol" for *_, report in calls)
     for basis, x0, system, theta_init, opts, theta, report in calls:
         ref_theta, ref_report = _reference_normal_equations_fit(
             lambda th: residual(basis, th, x0, system),
             lambda th: residual_jacobian(basis, th, x0, system),
             theta_init if theta_init is not None else np.zeros((basis.hidden, system.dim)),
-            opts)
+            opts, endpoint=(_endpoint_row(basis), x0))
         assert np.array_equal(theta, ref_theta)
         assert np.array_equal(report.cost_history, ref_report.cost_history)
         assert report == ref_report

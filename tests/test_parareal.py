@@ -584,3 +584,15 @@ def test_regularized_fit_on_lorenz_seed_0_converges_below_tol():
                                "rpnn": {"seed": 0, "gauss_newton_floor": False}})
     assert result.converged and result.iterations == 15
     assert err < 1e-4
+
+
+# The exact fit is the Lorenz CLI default, and Lorenz is where a change to
+# the trainer's stopping tests first moves iteration counts.  At seeds 0 and
+# 1 the default converges in 2 iterations with errors 1.65e-5 and 7.4e-6
+# against serial (1.51e-5 and 7.8e-6 before the exact fit stopped on the
+# coarse endpoint): margins of about 6 and 13 below tol 1e-4.
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_fit_on_lorenz_default_converges_in_two_iterations(seed):
+    result, err, _ = _cli_run({"benchmark": "lorenz", "rpnn": {"seed": seed}})
+    assert result.converged and result.iterations == 2
+    assert err < 1e-4
