@@ -175,15 +175,17 @@ def collocation_states(basis: "RpnnBasis", theta: np.ndarray, x0: np.ndarray) ->
 
 def _at_nodes(states: np.ndarray | list, floats: Callable | None,
               rows_fn: Callable[[np.ndarray], np.ndarray], what: str) -> np.ndarray:
-    """F or DF at the node states, stacked; a non-finite value raises
-    `TrainingError`, naming `what`.
+    """F or DF at the node states, one row per state; a non-finite value
+    raises `TrainingError`, naming `what`.
 
     The states are a C x d array, read by `rows_fn`, or its rows as lists
     of floats, read by the float form `floats` through `_float_rows`, whose
-    Python floats are then tested for finiteness as they are.
+    Python floats are then tested for finiteness as they are.  A Jacobian's
+    rows are C x d x d from `rows_fn` and C x d*d from `floats`.
     """
     if isinstance(states, list):
-        values, flat = _float_rows(floats, states, (len(states), len(states[0])))
+        flat = _float_rows(floats, states)
+        values = np.array(flat).reshape(len(states), -1)
         finite = all(map(math.isfinite, flat))
     else:
         values = rows_fn(states)
@@ -223,7 +225,7 @@ def _residual_jacobian_of(
     rows_fn = partial(evaluate_rows, system.jacobian)
 
     def jacobian(states):
-        jacs = _at_nodes(states, floats, rows_fn, "field Jacobian")
+        jacs = _at_nodes(states, floats, rows_fn, "field Jacobian").reshape(c_count, d, d)
         blocks = np.multiply(jacs.transpose(1, 0, 2)[:, :, :, np.newaxis], hm,
                              out=np.empty(frame.shape))
         return np.subtract(frame, blocks, out=blocks).reshape(d * c_count, d * h_count)

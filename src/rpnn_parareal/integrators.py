@@ -9,7 +9,9 @@ after another in the calling thread.
 A fine step of a small system costs a few microseconds of Python overhead
 and little field work, so each stepper runs all the steps of an interval as
 one loop on Python floats, calling the field and the Jacobian through their
-float forms (`OdeSystem` explains).  One generator (`_kernel`) writes that
+float forms (`OdeSystem` explains) on positional floats, with no wrapper
+between; where Python floats raise, `_fine_steps` runs the interval again
+with forms retried on numpy scalars.  One generator (`_kernel`) writes that
 loop once per stepper kind and state dimension, from one loop template and
 the kind's step body written out component by component on local floats.
 The RK4 body checks finiteness once per step, on the update; only a failed
@@ -17,23 +19,27 @@ step looks through its four stages for the first non-finite one.  Its
 results are bitwise those of the array expressions of the scheme.  The
 implicit Euler body writes out the residual, the Newton matrix, a Gaussian
 elimination with partial pivoting and the update, and no numpy call
-remains.  LAPACK does not solve the float path's Newton systems, so the
+remains; it evaluates F once at the interval's start and once per Newton
+iterate, so each step starts from the F(y) of the previous step's last
+residual.  LAPACK does not solve the float path's Newton systems, so the
 elimination may round them otherwise; tests pin that the steps agree
 bitwise with the array path, which a system without float forms keeps, but
 nothing guarantees it.  On a 2-vCPU Intel Xeon host an implicit Euler step
-of ROBER (h = 1e-3) inside an interval takes about 3.5 us, against 19 us
-when each Newton iteration called `np.linalg.solve`.
+of ROBER (h = 1e-3) inside an interval takes about 2.4 us, against 3.2 us
+when every step evaluated F afresh through list forms behind a per-call
+wrapper, and an RK4 step of Arenstorf 2.5 us, against 2.9 us (README).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .problems import OdeSystem
+from .problems import OdeSystem, _retrying
 
 # Relative slack when checking that an interval length is an integer multiple
 # of the fine step.  Float division artifacts in the benchmark meshes reach
@@ -75,14 +81,21 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_positive(name: str, value) -> None:
+    """Reject a value that is not a real number (a bool included), or is not
+    positive and finite."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (value > 0 and math.isfinite(value))):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NewtonOptions:
     tol: float = 1e-12
     max_iter: int = 50
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError(f"newton tol must be positive and finite, got {self.tol!r}")
+        _check_positive("newton tol", self.tol)
         check_count("newton max_iter", self.max_iter)
 
 
@@ -97,8 +110,9 @@ class FineMethod:
     def __post_init__(self):
         if self.kind not in ("rk4", "implicit-euler"):
             raise ValueError(f"unknown fine method kind {self.kind!r}")
-        if not self.dt > 0:
-            raise ValueError("fine step must be positive")
+        _check_positive("fine step dt", self.dt)
+        if not isinstance(self.newton, NewtonOptions):
+            raise ValueError(f"newton must be a NewtonOptions, got {self.newton!r}")
 
 
 def rk4_step(system: OdeSystem, x: np.ndarray, h: float) -> np.ndarray:
@@ -150,7 +164,9 @@ def _fine_steps(kind: str, system: OdeSystem, x: np.ndarray, h: float, steps: in
     (`OdeSystem`).  RK4 calls a field without one through an adapter on
     arrays.  Implicit Euler on a system without both keeps arrays and
     solves each Newton system with `np.linalg.solve`.  Its residual and
-    update are the kernel's expressions in the same order, and both paths
+    update are the kernel's expressions in the same order, it evaluates F
+    as often (once at x and once per Newton iterate, each step starting
+    from the F(y) of the previous step's last residual), and both paths
     take their norms as `math.hypot`, which, unlike the root of a sum of
     squares, does not overflow above about 1.3e154.  Only the solves
     differ: the kernel's elimination need not round as LAPACK does, so the
@@ -160,21 +176,31 @@ def _fine_steps(kind: str, system: OdeSystem, x: np.ndarray, h: float, steps: in
         raise ValueError("step size must be positive")
     f = getattr(system.field, "floats", None)
     if kind == "rk4":
+        df = tol = max_iter = None
         if f is None:
             field = system.field
 
-            def f(y):
+            def f(*y):
                 return field(np.array(y)).tolist()
-        return np.array(_kernel(kind, len(x))(f, None, x.tolist(), h, steps, None, None))
-    df = getattr(system.jacobian, "floats", None)
-    tol, max_iter = newton.tol, newton.max_iter
-    if f is not None and df is not None:
-        return np.array(_kernel(kind, len(x))(f, df, x.tolist(), h, steps, tol, max_iter))
+    else:
+        df = getattr(system.jacobian, "floats", None)
+        tol, max_iter = newton.tol, newton.max_iter
+    if f is not None and (kind == "rk4" or df is not None):
+        kernel, y = _kernel(kind, len(x)), x.tolist()
+        try:
+            return np.array(kernel(f, df, y, h, steps, tol, max_iter))
+        except (ZeroDivisionError, OverflowError):
+            # The kernel calls the forms bare.  The run is deterministic, so
+            # this one repeats it up to the call that raised, retries that
+            # call on numpy scalars and goes on as the array forms would.
+            df = None if df is None else _retrying(df)
+            return np.array(kernel(_retrying(f), df, y, h, steps, tol, max_iter))
     field, jacobian, eye = system.field, system.jacobian, np.eye(system.dim)
     y = x
+    fy = field(y)
     for _ in range(steps):
         x, threshold = y, tol * (1.0 + math.hypot(*y.tolist()))
-        g = y - x - h * field(y)
+        g = y - x - h * fy
         g_norm = math.hypot(*g.tolist())
         for _ in range(max_iter):
             if g_norm <= threshold:
@@ -182,7 +208,8 @@ def _fine_steps(kind: str, system: OdeSystem, x: np.ndarray, h: float, steps: in
             y = y - _newton_solve(eye - h * jacobian(y), g, g_norm)
             if not np.all(np.isfinite(y)):
                 raise _nonfinite_iterate(g_norm)
-            g = y - x - h * field(y)
+            fy = field(y)
+            g = y - x - h * fy
             g_norm = math.hypot(*g.tolist())
         else:
             if not g_norm <= threshold:
@@ -213,14 +240,15 @@ def _stalled(g_norm: float, threshold: float, max_iter: int) -> NewtonNonconverg
     )
 
 
-# The loop of every kernel: `{preamble}` is a line run once (empty for
-# implicit Euler) and `{step}` one step at the loop body's indentation.
-# y{i} is the state; `{y}` stands for "y0, y1, ...", and the comma after it
-# in an unpacking keeps a one-component target a tuple.
+# The loop of every kernel: `{preamble}` is a line run once and `{step}`
+# one step at the loop body's indentation.  y{i} is the state; `{y}` stands
+# for "y0, y1, ...", and the comma after it in an unpacking keeps a
+# one-component target a tuple.  f and df are called with the components
+# as positional floats and return tuples.
 _KERNEL_TEMPLATE = """\
 def kernel(f, df, y, h, steps, tol, max_iter):
-    {preamble}
     {y}, = y
+    {preamble}
     for _ in range(steps):
 {step}
     return [{y}]
@@ -228,33 +256,34 @@ def kernel(f, df, y, h, steps, tol, max_iter):
 
 # One RK4 step: k1_{i} to k4_{i} are the four stages.
 _RK4_STEP = """\
-        {k1}, = f([{y}])
-        {k2}, = f([{stage2}])
-        {k3}, = f([{stage3}])
-        {k4}, = f([{stage4}])
+        {k1}, = f({y})
+        {k2}, = f({stage2})
+        {k3}, = f({stage3})
+        {k4}, = f({stage4})
         {update}
         if not ({finite}):
             raise _rk4_failure([{k1}], [{k2}], [{k3}], [{k4}])"""
 
-# One implicit Euler step: x{i} is the step's start, f{i} the field and g{i}
-# the residual, which the solve overwrites with the Newton correction;
-# a{i}_{k} is the Newton matrix I - h*DF(y).
+# One implicit Euler step: x{i} is the step's start, f{i} the field at y,
+# which the preamble evaluates once and each Newton iterate then again, so
+# that a step starts from the value of the previous step's last residual;
+# g{i} is the residual, which the solve overwrites with the Newton
+# correction, and a{i}_{k} the Newton matrix I - h*DF(y).
 _IMPLICIT_EULER_STEP = """\
         {x}, = {y},
         threshold = tol * (1.0 + hypot({y}))
-        {f}, = f([{y}])
         {residual}
         g_norm = hypot({g})
         for _ in range(max_iter):
             if g_norm <= threshold:
                 break
-            {rows}, = df([{y}])
+            {entries}, = df({y})
             {matrix}
             {solve}
             {update}
             if not ({finite}):
                 raise _nonfinite_iterate(g_norm)
-            {f}, = f([{y}])
+            {f}, = f({y})
             {newton_residual}
             g_norm = hypot({g})
         else:
@@ -299,9 +328,10 @@ def _kernel(kind: str, d: int):
     first use.
 
     `kernel(f, df, y, h, steps, tol, max_iter)` runs `steps` steps from the
-    list y with the float forms of the field (list in, list out) and, for
-    implicit Euler, of the Jacobian (a list of rows), and returns the state
-    as a list; RK4 ignores df, tol and max_iter.  Each step is the array
+    list y with the float forms of the field and, for implicit Euler, of
+    the Jacobian (`OdeSystem`), and returns the state as a list; RK4
+    ignores df, tol and max_iter.  It calls both with no wrapper between:
+    `_fine_steps` handles the floats that raise.  Each step is the array
     expression of the scheme written out component by component on local
     floats in the same order, and `+ - * /` on Python floats round as
     numpy's elementwise operations do, so an RK4 result is bitwise the
@@ -329,12 +359,11 @@ def _kernel(kind: str, d: int):
         )
     else:
         residual = [f"g{i} = y{i} - x{i} - h * f{i}" for i in range(d)]
-        preamble = ""
+        preamble = f"{names('f')}, = f({y})"
         step = _IMPLICIT_EULER_STEP.format(
             y=y, x=names("x"), f=names("f"), g=names("g"),
             residual=block(residual, 8), newton_residual=block(residual),
-            rows=", ".join("(" + ", ".join(f"a{i}_{k}" for k in range(d)) + ",)"
-                           for i in range(d)),
+            entries=", ".join(f"a{i}_{k}" for i in range(d) for k in range(d)),
             matrix=block(f"a{i}_{k} = {'1.0' if i == k else '0.0'} - h * a{i}_{k}"
                          for i in range(d) for k in range(d)),
             solve=block(_gaussian_elimination(d)),

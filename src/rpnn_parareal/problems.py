@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from itertools import chain
+from itertools import chain, starmap
 from typing import Any, Callable
 
 import numpy as np
@@ -31,16 +31,18 @@ class OdeSystem:
     `dim`.  The package's small closed-form systems write their field and
     Jacobian once on Python floats (see `_on_floats`), which is faster than
     numpy at this size and rounds every operation the same way.  Their
-    `field` and `jacobian` carry that float form as `.floats(values: list)`,
-    which returns a list (a list of rows for the Jacobian).  RK4 calls the
-    field's, and runs any other field through an array adapter; implicit
-    Euler runs on floats when both have one, and on arrays otherwise.  The
-    float form rides on the callable, so a copy whose `field` or `jacobian`
-    is replaced loses it.  Training reads the field on the rows of a C x d
-    matrix of states through `field_rows`; left out, it is `evaluate_rows`
-    on `field`, and it stays so in a copy whose `field` is replaced.
-    `evaluate_rows` calls the float form when there is one, so training
-    and the certificates evaluate these systems' rows on Python floats too.
+    `field` and `jacobian` carry that float form as `.floats`, called with
+    the state's components as positional floats, `floats(x1, x2, ...)`; it
+    returns a tuple of the d components, or for the Jacobian of its d * d
+    entries row by row.  RK4 calls the field's, and runs any other field
+    through an array adapter; implicit Euler runs on floats when both have
+    one, and on arrays otherwise.  The float form rides on the callable, so
+    a copy whose `field` or `jacobian` is replaced loses it.  Training reads
+    the field on the rows of a C x d matrix of states through `field_rows`;
+    left out, it is `evaluate_rows` on `field`, and it stays so in a copy
+    whose `field` is replaced.  `evaluate_rows` calls the float form when
+    there is one, so training and the certificates evaluate these systems'
+    rows on Python floats too.
     """
 
     dim: int
@@ -94,111 +96,123 @@ def evaluate_rows(fn: Callable[[Vector], np.ndarray], states: Matrix) -> np.ndar
     A `fn` with a float form (`_on_floats`) is called through it by
     `_float_rows` on the rows of `states.tolist()`: the same Python floats
     that `fn` would pass it, so the result is bitwise that of the per-row
-    array calls.
+    array calls.  Its `square` attribute marks a Jacobian's d * d entries.
     """
     floats = getattr(fn, "floats", None)
     if floats is None:
         return np.array([fn(row) for row in states])
-    return _float_rows(floats, states.tolist(), states.shape)[0]
+    shape = states.shape + states.shape[1:] if getattr(fn, "square", False) else states.shape
+    return np.array(_float_rows(floats, states.tolist())).reshape(shape)
 
 
-def _float_rows(floats: Callable[[list], list], rows: list, shape: tuple[int, int]
-                ) -> tuple[np.ndarray, list]:
-    """A float form at each of `rows`, a C x d matrix of states of shape
-    `shape` as lists of floats: its values stacked (C x d, or C x d x d for
-    a Jacobian) and the same values in one flat list.  numpy builds the
-    stack from the flat list faster than from the nested lists.
+def _float_rows(floats: Callable[..., tuple], rows: list) -> list:
+    """A float form at each of `rows`, states as lists of floats: its values
+    in one flat list, row after row.
+
+    Where Python floats raise, the whole batch runs again with each row
+    retried on numpy scalars (`_retrying`), so a row's values are bitwise
+    those of the array form at that row.
     """
-    values = list(chain.from_iterable(map(floats, rows)))
-    if values and isinstance(values[0], list):  # a Jacobian's rows
-        values = list(chain.from_iterable(values))
-        shape += shape[1:]
-    return np.array(values).reshape(shape), values
+    try:
+        return list(chain.from_iterable(starmap(floats, rows)))
+    except (ZeroDivisionError, OverflowError):
+        return list(chain.from_iterable(starmap(_retrying(floats), rows)))
 
 
-def _on_floats(terms: Callable[[list], list]) -> Callable[[Vector], np.ndarray]:
-    """`terms(x)` as an array, evaluated on the Python floats of x.
+def _retrying(floats: Callable[..., tuple]) -> Callable[..., tuple]:
+    """`floats`, run again on numpy scalars where Python floats raise.
 
-    The float form rides on the returned callable as its `floats`
-    attribute, `floats(values: list) -> list`, which the RK4 and implicit
-    Euler loops of `integrators.fine_propagate` call without building
-    arrays.  Python floats raise where numpy returns inf or nan (a division
-    by zero, an overflowing power); there `terms` runs again on numpy
-    scalars, so the non-finite value reaches the caller's finiteness
-    check.  Both evaluations round every operation the same way, so the
-    values are bitwise equal.
+    Python floats raise where numpy returns inf or nan (a division by zero,
+    an overflowing power); numpy scalars give the non-finite value that the
+    caller's finiteness check then sees.  Both round every operation the
+    same way, so where both return, the values are bitwise equal.  The
+    kernels of `integrators` and `_float_rows` call the float form bare and
+    take this one only to redo an interval, or a batch of rows, that raised.
     """
 
-    def floats(values):
+    def retrying(*values):
         try:
-            return terms(values)
+            return floats(*values)
         except (ZeroDivisionError, OverflowError):
-            return terms(np.array(values))
+            return floats(*np.array(values))
+
+    return retrying
+
+
+def _on_floats(terms: Callable[..., tuple], square: bool = False
+               ) -> Callable[[Vector], np.ndarray]:
+    """`terms(*x)` as an array, evaluated on the Python floats of x.
+
+    `terms` takes the components of a state as positional floats and
+    returns a tuple of floats: the d components of a field, or, with
+    `square`, the d * d entries of a Jacobian row by row, which the array
+    form returns as a d x d matrix.  It rides on the returned callable as
+    its `floats` attribute, which the RK4 and implicit Euler kernels of
+    `integrators.fine_propagate` call without building arrays; `square`
+    rides along for `evaluate_rows`.  The array form retries on numpy
+    scalars where Python floats raise (`_retrying`).
+    """
+    retrying = _retrying(terms)
 
     def evaluate(x):
-        return np.array(floats(x.tolist()))
+        values = np.array(retrying(*x.tolist()))
+        return values.reshape(len(x), len(x)) if square else values
 
-    evaluate.floats = floats
+    evaluate.floats, evaluate.square = terms, square
     return evaluate
 
 
 def _sir(beta: float, gamma: float) -> OdeSystem:
-    def field_terms(x):
-        s, i, _ = x
+    def field_terms(s, i, _):
         infection = beta * s * i
         recovery = gamma * i
-        return [-infection, infection - recovery, recovery]
+        return -infection, infection - recovery, recovery
 
-    def jac_terms(x):
-        s, i, _ = x
-        return [
-            [-beta * i, -beta * s, 0.0],
-            [beta * i, beta * s - gamma, 0.0],
-            [0.0, gamma, 0.0],
-        ]
+    def jac_terms(s, i, _):
+        return (
+            -beta * i, -beta * s, 0.0,
+            beta * i, beta * s - gamma, 0.0,
+            0.0, gamma, 0.0,
+        )
 
-    return OdeSystem(3, _on_floats(field_terms), _on_floats(jac_terms), "sir",
+    return OdeSystem(3, _on_floats(field_terms), _on_floats(jac_terms, square=True), "sir",
                      {"beta": beta, "gamma": gamma})
 
 
 def _rober(k1: float, k2: float, k3: float) -> OdeSystem:
-    def field_terms(x):
-        y1, y2, y3 = x
+    def field_terms(y1, y2, y3):
         r1 = k1 * y1
         r2 = k2 * y2 * y2
         r3 = k3 * y2 * y3
-        return [-r1 + r3, r1 - r2 - r3, r2]
+        return -r1 + r3, r1 - r2 - r3, r2
 
-    def jac_terms(x):
-        _, y2, y3 = x
-        return [
-            [-k1, k3 * y3, k3 * y2],
-            [k1, -2.0 * k2 * y2 - k3 * y3, -k3 * y2],
-            [0.0, 2.0 * k2 * y2, 0.0],
-        ]
+    def jac_terms(_, y2, y3):
+        return (
+            -k1, k3 * y3, k3 * y2,
+            k1, -2.0 * k2 * y2 - k3 * y3, -k3 * y2,
+            0.0, 2.0 * k2 * y2, 0.0,
+        )
 
-    return OdeSystem(3, _on_floats(field_terms), _on_floats(jac_terms), "rober",
+    return OdeSystem(3, _on_floats(field_terms), _on_floats(jac_terms, square=True), "rober",
                      {"k1": k1, "k2": k2, "k3": k3})
 
 
 def _lorenz(sigma: float, r: float, b: float) -> OdeSystem:
-    def field_terms(x):
-        x1, x2, x3 = x
-        return [
+    def field_terms(x1, x2, x3):
+        return (
             sigma * (x2 - x1),
             -x1 * x3 + r * x1 - x2,
             x1 * x2 - b * x3,
-        ]
+        )
 
-    def jac_terms(x):
-        x1, x2, x3 = x
-        return [
-            [-sigma, sigma, 0.0],
-            [r - x3, -1.0, -x1],
-            [x2, x1, -b],
-        ]
+    def jac_terms(x1, x2, x3):
+        return (
+            -sigma, sigma, 0.0,
+            r - x3, -1.0, -x1,
+            x2, x1, -b,
+        )
 
-    return OdeSystem(3, _on_floats(field_terms), _on_floats(jac_terms), "lorenz",
+    return OdeSystem(3, _on_floats(field_terms), _on_floats(jac_terms, square=True), "lorenz",
                      {"sigma": sigma, "r": r, "b": b})
 
 
@@ -207,21 +221,19 @@ def _arenstorf(a: float) -> OdeSystem:
     # with mass ratio a and b = 1 - a.
     b = 1.0 - a
 
-    def field_terms(x):
-        x1, x2, v1, v2 = x
+    def field_terms(x1, x2, v1, v2):
         r1sq = (x1 + a) ** 2 + x2**2
         r2sq = (x1 - b) ** 2 + x2**2
         d1 = r1sq**1.5
         d2 = r2sq**1.5
-        return [
+        return (
             v1,
             v2,
             x1 + 2.0 * v2 - b * (x1 + a) / d1 - a * (x1 - b) / d2,
             x2 - 2.0 * v1 - b * x2 / d1 - a * x2 / d2,
-        ]
+        )
 
-    def jac_terms(x):
-        x1, x2, _, _ = x
+    def jac_terms(x1, x2, _, __):
         p = x1 + a
         q = x1 - b
         r1sq = p * p + x2 * x2
@@ -238,17 +250,17 @@ def _arenstorf(a: float) -> OdeSystem:
         db_dx2 = 1.0 - b * (inv_d1 - 3.0 * x2 * x2 * inv_d1_5) - a * (
             inv_d2 - 3.0 * x2 * x2 * inv_d2_5
         )
-        return [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [da_dx1, da_dx2, 0.0, 2.0],
-            [db_dx1, db_dx2, -2.0, 0.0],
-        ]
+        return (
+            0.0, 0.0, 1.0, 0.0,
+            0.0, 0.0, 0.0, 1.0,
+            da_dx1, da_dx2, 0.0, 2.0,
+            db_dx1, db_dx2, -2.0, 0.0,
+        )
 
     return OdeSystem(
         4,
         _on_floats(field_terms),
-        _on_floats(jac_terms),
+        _on_floats(jac_terms, square=True),
         "arenstorf",
         {"a": a, "b": b},
         labels=("x1", "x2", "v1", "v2"),
@@ -256,19 +268,18 @@ def _arenstorf(a: float) -> OdeSystem:
 
 
 def _brusselator(A: float, B: float) -> OdeSystem:
-    def field_terms(x):
-        x1, x2 = x
+    def field_terms(x1, x2):
         x1sq_x2 = x1 * x1 * x2
-        return [A + x1sq_x2 - (B + 1.0) * x1, B * x1 - x1sq_x2]
+        return A + x1sq_x2 - (B + 1.0) * x1, B * x1 - x1sq_x2
 
-    def jac_terms(x):
-        x1, x2 = x
-        return [
-            [2.0 * x1 * x2 - (B + 1.0), x1 * x1],
-            [B - 2.0 * x1 * x2, -x1 * x1],
-        ]
+    def jac_terms(x1, x2):
+        return (
+            2.0 * x1 * x2 - (B + 1.0), x1 * x1,
+            B - 2.0 * x1 * x2, -x1 * x1,
+        )
 
-    return OdeSystem(2, _on_floats(field_terms), _on_floats(jac_terms), "brusselator",
+    return OdeSystem(2, _on_floats(field_terms), _on_floats(jac_terms, square=True),
+                     "brusselator",
                      {"A": A, "B": B})
 
 

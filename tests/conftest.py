@@ -1,9 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from rpnn_parareal import OdeSystem
+from rpnn_parareal.problems import _on_floats
 
 
 def _blas_settings():
@@ -32,6 +34,30 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+def clock_system(pole: bool) -> OdeSystem:
+    """x1' = 1, a clock, and x2' = g(x1), with float forms on which Python
+    floats divide by zero at x1 = 2: `pole` g = 1 / (2 - x1), where numpy
+    scalars give inf, or else g = 1 / (1 / (2 - x1) + 1) = (2 - x1) / (3 - x1),
+    where they give the finite 0.0.  Steps of 0.25 from x1 = 0 reach 2.0
+    exactly, and so does the state at t = 0 of a training from x1 = 2."""
+    def terms(x1, x2):
+        return 1.0, (1.0 / (2.0 - x1) if pole else 1.0 / (1.0 / (2.0 - x1) + 1.0))
+
+    def jac_terms(x1, x2):
+        slope = 1.0 / ((2.0 - x1) * (2.0 - x1)) if pole else -1.0 / ((3.0 - x1) * (3.0 - x1))
+        return 0.0, 0.0, slope, 0.0
+
+    return OdeSystem(2, _on_floats(terms), _on_floats(jac_terms, square=True),
+                     "pole" if pole else "clock")
+
+
+def without_float_forms(system: OdeSystem) -> OdeSystem:
+    """A copy whose field and Jacobian carry no float forms, so implicit Euler
+    and training keep arrays for it."""
+    return dataclasses.replace(system, field=lambda x: system.field(x),
+                               jacobian=lambda x: system.jacobian(x))
 
 
 def central_fd_jacobian(fun, x, base_step=1e-6):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -38,8 +39,9 @@ from rpnn_parareal.collocation import (
 from rpnn_parareal.cli import ExperimentConfig, build_solver
 from rpnn_parareal.problems import BENCHMARK_NAMES, _on_floats, default_initial_state
 
-from conftest import (assert_bitwise, benchmark_network, constant_system, linear_system,
-                      sample_benchmark_state, zero_system)
+from conftest import (assert_bitwise, benchmark_network, clock_system, constant_system,
+                      linear_system, sample_benchmark_state, without_float_forms,
+                      zero_system)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +161,41 @@ def test_residual_constant_field_rows():
 def test_residual_at_a_float_form_pole_is_a_training_error():
     # 1 / (2 - x) divides by zero on Python floats at x = 2; the float form
     # retries on numpy scalars, and the inf it returns fails the finiteness check.
-    pole = OdeSystem(1, _on_floats(lambda x: [1.0 / (2.0 - x[0])]),
-                     _on_floats(lambda x: [[1.0 / ((2.0 - x[0]) * (2.0 - x[0]))]]), "pole")
+    pole = OdeSystem(1, _on_floats(lambda x: (1.0 / (2.0 - x),)),
+                     _on_floats(lambda x: (1.0 / ((2.0 - x) * (2.0 - x)),), square=True), "pole")
     basis = sample_basis(5, 5, 1.0, seed=0)
     with pytest.raises(TrainingError, match="non-finite"):
         residual(basis, np.zeros((5, 1)), np.array([2.0]), pole)
     # Training reads the float form on float rows and tests those floats.
     with pytest.raises(TrainingError, match="vector field returned non-finite values"):
         train_coarse(basis, np.array([2.0]), pole)
+
+
+# The trainer reads the float forms bare on a batch of node rows; where one
+# row raises on Python floats, the batch runs again with each row retried on
+# numpy scalars.  The row at t = 0 is x0, where the clock's Python floats
+# divide by zero, in every batch: training gives the bits, or the failure,
+# of the copy without float forms.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "regularized"])
+def test_float_rows_that_raise_train_as_the_array_path(exact):
+    basis, x0 = sample_basis(5, 5, 0.5, seed=0), np.array([2.0, 0.0])
+    assert not basis.feat_shifted[0].any()
+    opts = LmOptions(floor_to_gauss_newton=exact)
+    clock = clock_system(pole=False)
+    theta, report = train_coarse(basis, x0, clock, None, opts)
+    assert report.iterations > 1
+    expected = train_coarse(basis, x0, without_float_forms(clock), None, opts)
+    assert_bitwise(theta, expected[0])
+    assert report == expected[1]
+    pole = clock_system(pole=True)
+    failures = []
+    for system in (pole, without_float_forms(pole)):
+        with pytest.raises(TrainingError) as info:
+            train_coarse(basis, x0, system, None, opts)
+        failures.append(str(info.value))
+    assert failures[0] == failures[1]
+    assert failures[0] == "vector field returned non-finite values at collocation states"
 
 
 def test_residual_scalar_entry_formula():
@@ -257,11 +286,12 @@ def _float_form_linear_system(d, seed):
     a[rng.random((d, d)) < 0.3] = -0.0
     rows = a.tolist()
 
-    def field_terms(x):
-        return [sum(aij * xj for aij, xj in zip(row, x)) for row in rows]
+    def field_terms(*x):
+        return tuple(sum(aij * xj for aij, xj in zip(row, x)) for row in rows)
 
+    entries = tuple(chain.from_iterable(rows))
     return OdeSystem(d, _on_floats(field_terms),
-                     _on_floats(lambda x: [list(row) for row in rows]), f"linear{d}")
+                     _on_floats(lambda *x: entries, square=True), f"linear{d}")
 
 
 @pytest.mark.parametrize("name", BENCHMARK_NAMES + ("linear51",))
@@ -906,8 +936,8 @@ def test_training_jacobian_reuses_only_its_residual_states(monkeypatch, name):
 def test_non_finite_field_jacobian_is_a_training_error(exact, capfd):
     """DF = 0.5 / |x|**0.5 is infinite at x = 0: training names the field
     Jacobian before a solve sees it, and LAPACK prints nothing."""
-    root = OdeSystem(1, _on_floats(lambda x: [abs(x[0]) ** 0.5 + 1.0]),
-                     _on_floats(lambda x: [[0.5 / abs(x[0]) ** 0.5]]), "root")
+    root = OdeSystem(1, _on_floats(lambda x: (abs(x) ** 0.5 + 1.0,)),
+                     _on_floats(lambda x: (0.5 / abs(x) ** 0.5,), square=True), "root")
     basis = sample_basis(5, 5, 0.1, seed=0)
     with pytest.raises(TrainingError, match="field Jacobian returned non-finite values"):
         train_coarse(basis, np.array([0.0]), root, None, LmOptions(floor_to_gauss_newton=exact))
@@ -925,9 +955,9 @@ def test_training_calls_only_float_forms(monkeypatch):
             calls[name] += 1
             return fn(x)
 
-        def floats(values):
+        def floats(*values):
             calls[name + ".floats"] += 1
-            return fn.floats(values)
+            return fn.floats(*values)
 
         array.floats = floats
         return array

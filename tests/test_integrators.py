@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import traceback
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -25,9 +27,10 @@ from rpnn_parareal import (
     serial_solve,
 )
 from rpnn_parareal.integrators import step_count
-from rpnn_parareal.problems import _on_floats, default_initial_state
+from rpnn_parareal.problems import _on_floats, _retrying, default_initial_state
 
-from conftest import constant_system, linear_system, sample_benchmark_state, zero_system
+from conftest import (clock_system, constant_system, linear_system, sample_benchmark_state,
+                      without_float_forms, zero_system)
 
 
 def test_rk4_matches_taylor_polynomial():
@@ -126,9 +129,9 @@ def _textbook_rk4(field, x, h, steps):
 def _scalar_system(float_form):
     """Scalar x' = x (1 - x) / (1 + x * x), with or without float forms of
     the field and its Jacobian."""
-    terms = _on_floats(lambda x: [x[0] * (1.0 - x[0]) / (1.0 + x[0] * x[0])])
+    terms = _on_floats(lambda x: (x * (1.0 - x) / (1.0 + x * x),))
     jac_terms = _on_floats(
-        lambda x: [[(1.0 - 2.0 * x[0] - x[0] * x[0]) / ((1.0 + x[0] * x[0]) ** 2)]])
+        lambda x: ((1.0 - 2.0 * x - x * x) / ((1.0 + x * x) ** 2),), square=True)
     if float_form:
         return OdeSystem(1, terms, jac_terms, "scalar")
     return OdeSystem(1, lambda x: terms(x), lambda x: jac_terms(x), "scalar")
@@ -138,17 +141,17 @@ def _lorenz96_system():
     """Lorenz-96 on five components, x_i' = (x_{i+1} - x_{i-2}) x_{i-1} - x_i + 8
     with cyclic indices, with float forms of the field and its Jacobian: a
     dimension no benchmark system has."""
-    def terms(x):
-        return [(x[(i + 1) % 5] - x[i - 2]) * x[i - 1] - x[i] + 8.0 for i in range(5)]
+    def terms(*x):
+        return tuple((x[(i + 1) % 5] - x[i - 2]) * x[i - 1] - x[i] + 8.0 for i in range(5))
 
-    def jac_terms(x):
+    def jac_terms(*x):
         rows = [[0.0] * 5 for _ in range(5)]
         for i, row in enumerate(rows):
             row[i - 2], row[i - 1] = -x[i - 1], x[(i + 1) % 5] - x[i - 2]
             row[i], row[(i + 1) % 5] = -1.0, x[i - 1]
-        return rows
+        return tuple(chain.from_iterable(rows))
 
-    return OdeSystem(5, _on_floats(terms), _on_floats(jac_terms), "lorenz96")
+    return OdeSystem(5, _on_floats(terms), _on_floats(jac_terms, square=True), "lorenz96")
 
 
 _LORENZ96_X0 = np.array([8.01, 8.0, 8.0, 8.0, 8.0])
@@ -182,13 +185,6 @@ def test_fine_propagate_equals_textbook_array_rk4_bitwise(name, dt, steps):
     assert np.array_equal(got, _textbook_rk4(system.field, x, dt, steps))
 
 
-def _without_float_forms(system):
-    """A copy whose field and Jacobian carry no float forms, so implicit Euler
-    keeps arrays for it."""
-    return dataclasses.replace(system, field=lambda x: system.field(x),
-                               jacobian=lambda x: system.jacobian(x))
-
-
 @pytest.mark.parametrize(
     "name, dt, steps",
     [
@@ -208,7 +204,7 @@ def test_implicit_euler_float_path_equals_array_path_bitwise(name, dt, steps):
         system, x = _lorenz96_system(), _LORENZ96_X0
     else:
         system, x = make_benchmark(name), default_initial_state(name)
-    arrays = _without_float_forms(system)
+    arrays = without_float_forms(system)
     assert not hasattr(arrays.field, "floats") and not hasattr(arrays.jacobian, "floats")
     if name == "lorenz96":
         # Not bitwise: from the array path's state after 188 steps, the
@@ -228,7 +224,8 @@ def test_implicit_euler_float_path_equals_array_path_bitwise(name, dt, steps):
 
 
 # The primary and near-primary states make Python floats raise, so the float
-# form falls back to numpy scalars; at the far state r**1.5 overflows.
+# form is retried on numpy scalars, as the kernels and `_float_rows` do; at
+# the far state r**1.5 overflows.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["sir", "rober", "lorenz", "arenstorf", "brusselator"])
 def test_field_float_form_equals_array_field_bitwise(name):
@@ -242,8 +239,81 @@ def test_field_float_form_equals_array_field_bitwise(name):
             [1e110, 0.0, 3.0, -2.0],
         )]
     for x in states:
-        got = np.array(system.field.floats(x.tolist()), dtype=float)
+        got = np.array(_retrying(system.field.floats)(*x.tolist()), dtype=float)
         assert np.array_equal(got.view(np.int64), system.field(x).view(np.int64)), x
+
+
+def _counted(system, float_forms):
+    """A copy of `system` that counts its field and Jacobian calls: of the
+    float forms, or, without float forms, of the array callables."""
+    calls = Counter()
+
+    def counted(fn, name):
+        if float_forms:
+            def floats(*values):
+                calls[name] += 1
+                return fn.floats(*values)
+
+            def array(x):
+                return fn(x)
+
+            array.floats = floats
+            return array
+
+        def array(x):
+            calls[name] += 1
+            return fn(x)
+
+        return array
+
+    return dataclasses.replace(system, field=counted(system.field, "field"),
+                               jacobian=counted(system.jacobian, "jacobian")), calls
+
+
+# Each step starts from the field value of the previous step's last
+# residual, at the same floats, so an interval evaluates F once at its start
+# and once per Newton iteration (one Jacobian call each), on both paths.
+@pytest.mark.parametrize("float_forms", [True, False], ids=["kernel", "arrays"])
+def test_implicit_euler_calls_the_field_once_more_than_newton_iterations(float_forms):
+    rober, x, dt, steps = make_benchmark("rober"), np.array([1.0, 0.0, 0.0]), 1e-3, 50
+    system, calls = _counted(rober, float_forms)
+    method = FineMethod("implicit-euler", dt)
+    y = fine_propagate(system, x, steps * dt, method)
+    assert calls["jacobian"] > steps
+    assert calls["field"] == 1 + calls["jacobian"]
+    assert np.array_equal(y, fine_propagate(rober, x, steps * dt, method))
+    calls.clear()
+    implicit_euler_step(system, x, dt)
+    assert calls["field"] == 1 + calls["jacobian"] >= 2
+
+
+# The kernels call the float forms bare; a call that raises on Python floats
+# makes the interval run again with forms retried on numpy scalars.  The
+# result is bitwise that of the array path, which never raises, whether
+# the run then goes on (a finite 0.0) or fails (inf), and the failure is
+# the same exception, stage or residual, and interval.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["rk4", "implicit-euler"])
+def test_float_form_that_raises_mid_interval_runs_as_the_array_path(kind):
+    method, x0 = FineMethod(kind, 0.25), np.array([0.0, 0.0])
+    clock = clock_system(pole=False)
+    with pytest.raises(ZeroDivisionError):
+        clock.field.floats(2.0, 0.0)
+    got = fine_propagate(clock, x0, 2.5, method)
+    assert got[0] == 2.5 and np.isfinite(got).all()
+    assert np.array_equal(got, fine_propagate(without_float_forms(clock), x0, 2.5, method))
+
+    mesh = TimeMesh.from_blocks([(0.0, 1.0, 1), (1.0, 3.0, 1)])
+    pole = clock_system(pole=True)
+    failures = []
+    for system in (pole, without_float_forms(pole)):
+        with pytest.raises(SolverError) as info:
+            serial_solve(system, x0, mesh, method)
+        exc = info.value
+        failures.append((type(exc), str(exc), exc.interval, getattr(exc, "stage", None),
+                         getattr(exc, "residual", None)))
+    assert failures[0] == failures[1]
+    assert failures[0][2] == 1
 
 
 def _first_failing_step(field, x, h):
@@ -276,7 +346,7 @@ def _first_failing_step(field, x, h):
 def test_fine_propagate_failure_mid_interval_reports_stage(x0, stage):
     step, expected = _first_failing_step(lambda x: x * x, np.array([x0]), 0.1)
     assert expected == stage and step >= 5
-    for field in (lambda x: x * x, _on_floats(lambda x: [x[0] * x[0]])):
+    for field in (lambda x: x * x, _on_floats(lambda x: (x * x,))):
         system = OdeSystem(1, field, lambda x: np.diag(2 * x), "sq")
         with pytest.raises(StepFailure) as info:
             fine_propagate(system, np.array([x0]), 2.0, FineMethod("rk4", 0.1))
@@ -293,7 +363,7 @@ def test_fine_propagate_failure_mid_interval_reports_stage(x0, stage):
 # Newton iteration cannot bring the ROBER residual below tol = 1e-300.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind, system, x0, source", [
-    ("rk4", OdeSystem(1, _on_floats(lambda x: [x[0] * x[0]]), lambda x: np.diag(2 * x), "sq"),
+    ("rk4", OdeSystem(1, _on_floats(lambda x: (x * x,)), lambda x: np.diag(2 * x), "sq"),
      [1.0], "<rk4 kernel d=1>"),
     ("implicit-euler", make_benchmark("rober"), [1.0, 0.0, 0.0], "<implicit euler kernel d=3>"),
 ], ids=["rk4", "implicit-euler"])
@@ -339,7 +409,7 @@ def test_implicit_euler_nonconvergence_signal():
 def _decay_systems():
     """x' = -x built by hand on arrays and through float forms."""
     return [OdeSystem(1, lambda x: -x, lambda x: -np.eye(1), "decay"),
-            OdeSystem(1, _on_floats(lambda x: [-x[0]]), _on_floats(lambda x: [[-1.0]]),
+            OdeSystem(1, _on_floats(lambda x: (-x,)), _on_floats(lambda x: (-1.0,), square=True),
                       "decay")]
 
 
@@ -369,7 +439,7 @@ def test_implicit_euler_float_path_reports_stall():
     opts = NewtonOptions(tol=1e-300, max_iter=1)
     exc = _newton_failure(system, [1.0, 0.0, 0.0], 1e-3, opts)
     assert "stalled" in str(exc) and exc.residual > 0
-    same = _newton_failure(_without_float_forms(system), [1.0, 0.0, 0.0], 1e-3, opts)
+    same = _newton_failure(without_float_forms(system), [1.0, 0.0, 0.0], 1e-3, opts)
     assert (str(same), same.residual) == (str(exc), exc.residual)
 
 
@@ -377,38 +447,40 @@ def test_implicit_euler_float_path_reports_stall():
 # the residual is -inf and the first Newton iterate 1e120 - inf.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_implicit_euler_float_path_reports_nonfinite_iterate():
-    system = OdeSystem(1, _on_floats(lambda x: [x[0] * x[0] * x[0]]),
-                       _on_floats(lambda x: [[3.0 * x[0] * x[0]]]), "cube")
+    system = OdeSystem(1, _on_floats(lambda x: (x * x * x,)),
+                       _on_floats(lambda x: (3.0 * x * x,), square=True), "cube")
     exc = _newton_failure(system, [1e120], 1.0)
     assert "non-finite" in str(exc)
-    same = _newton_failure(_without_float_forms(system), [1e120], 1.0)
+    same = _newton_failure(without_float_forms(system), [1e120], 1.0)
     assert (str(same), same.residual) == (str(exc), exc.residual)
 
 
 def test_implicit_euler_float_path_reports_singular_matrix():
-    system = OdeSystem(1, _on_floats(lambda x: [x[0]]), _on_floats(lambda x: [[1.0]]), "grow")
+    system = OdeSystem(1, _on_floats(lambda x: (x,)), _on_floats(lambda x: (1.0,), square=True),
+                       "grow")
     exc = _newton_failure(system, [1.0], 1.0)
     assert "singular" in str(exc) and exc.residual == 1.0
-    same = _newton_failure(_without_float_forms(system), [1.0], 1.0)
+    same = _newton_failure(without_float_forms(system), [1.0], 1.0)
     assert (str(same), same.residual) == (str(exc), exc.residual)
 
 
 def _linear_system(rows, quadratic=0.0):
     """x' = A x, plus quadratic * x_2**2 in the second component when d = 3,
     with float forms of the field and the Jacobian."""
-    def field_terms(x):
+    def field_terms(*x):
         f = [sum(a * v for a, v in zip(row, x)) for row in rows]
         if quadratic:
             f[1] = f[1] + quadratic * x[2] * x[2]
-        return f
+        return tuple(f)
 
-    def jac_terms(x):
+    def jac_terms(*x):
         jac = [list(row) for row in rows]
         if quadratic:
             jac[1][2] = jac[1][2] + 2.0 * quadratic * x[2]
-        return jac
+        return tuple(chain.from_iterable(jac))
 
-    return OdeSystem(len(rows), _on_floats(field_terms), _on_floats(jac_terms), "linear")
+    return OdeSystem(len(rows), _on_floats(field_terms), _on_floats(jac_terms, square=True),
+                     "linear")
 
 
 # With h = 0.5 the Newton matrix I - h*DF has a zero in its leading entry,
@@ -420,7 +492,7 @@ def _linear_system(rows, quadratic=0.0):
 def test_implicit_euler_float_path_pivots_past_zero_leading_entry():
     system = _linear_system([[2.0, 1.0, -0.5], [-3.0, -1.0, 0.0], [0.5, -2.0, -4.0]],
                             quadratic=0.125)
-    arrays, h, tol = _without_float_forms(system), 0.5, NewtonOptions().tol
+    arrays, h, tol = without_float_forms(system), 0.5, NewtonOptions().tol
     x = np.array([1.0, -0.5, 0.25])
     assert 1.0 - h * system.jacobian(x)[0, 0] == 0.0
     for _ in range(20):
@@ -437,7 +509,7 @@ def test_implicit_euler_float_path_reports_singular_matrix_after_elimination():
     system = _linear_system([[0.0, -2.0], [-2.0, -3.0]])
     exc = _newton_failure(system, [1.0, 0.0], 1.0)
     assert str(exc) == "singular Newton matrix at residual 2.000e+00" and exc.residual == 2.0
-    same = _newton_failure(_without_float_forms(system), [1.0, 0.0], 1.0)
+    same = _newton_failure(without_float_forms(system), [1.0, 0.0], 1.0)
     assert (str(same), same.residual) == (str(exc), exc.residual)
 
 
@@ -569,11 +641,33 @@ def test_fine_method_validation():
 @pytest.mark.parametrize("settings", [
     {"tol": math.inf}, {"tol": math.nan}, {"tol": -math.inf}, {"max_iter": 2.5},
     {"max_iter": True}, {"max_iter": "3"}, {"max_iter": None},
+    {"tol": True}, {"tol": "1e-10"},
 ], ids=["inf-tol", "nan-tol", "minus-inf-tol", "fractional-max_iter", "bool-max_iter",
-        "string-max_iter", "none-max_iter"])
+        "string-max_iter", "none-max_iter", "bool-tol", "string-tol"])
 def test_newton_options_reject_bad_settings(settings):
     with pytest.raises(ValueError, match="newton"):
         NewtonOptions(**settings)
+
+
+# newton=None or a dict failed only inside the implicit Euler loop, with an
+# AttributeError; dt=inf failed later in step_count; dt=True ran as dt = 1.0.
+@pytest.mark.parametrize("kind", ["rk4", "implicit-euler"])
+@pytest.mark.parametrize("settings, field", [
+    ({"dt": math.inf}, "fine step dt"), ({"dt": math.nan}, "fine step dt"),
+    ({"dt": 0.0}, "fine step dt"), ({"dt": True}, "fine step dt"), ({"dt": "0.1"}, "fine step dt"),
+    ({"dt": None}, "fine step dt"), ({"newton": None}, "newton"),
+    ({"newton": {"tol": 1e-10}}, "newton"),
+], ids=["inf-dt", "nan-dt", "zero-dt", "bool-dt", "string-dt", "none-dt", "none-newton",
+        "dict-newton"])
+def test_fine_method_rejects_bad_settings(kind, settings, field):
+    with pytest.raises(ValueError, match=field):
+        FineMethod(kind, **{"dt": 1e-3, **settings})
+
+
+def test_fine_method_accepts_numpy_scalars():
+    method = FineMethod("implicit-euler", np.float64(0.1), NewtonOptions(np.float64(1e-12)))
+    y = fine_propagate(linear_system(-1.0), np.array([1.0]), 0.2, method)
+    assert y[0] == pytest.approx(1.0 / 1.1**2, rel=1e-12)
 
 
 def test_newton_options_accept_numpy_integer_max_iter():

@@ -368,8 +368,8 @@ def test_fine_sweep_failure_carries_interval_and_iteration():
 # interval ends at 2 - sqrt(2); the second runs past x = 1.37, where Newton
 # finds no root.  The float-form system and its array copy fail alike.
 def test_implicit_euler_fine_sweep_failure_carries_interval_and_iteration():
-    pole = OdeSystem(1, _on_floats(lambda x: [1.0 / (2.0 - x[0])]),
-                     _on_floats(lambda x: [[1.0 / ((2.0 - x[0]) * (2.0 - x[0]))]]), "pole")
+    pole = OdeSystem(1, _on_floats(lambda x: (1.0 / (2.0 - x),)),
+                     _on_floats(lambda x: (1.0 / ((2.0 - x) * (2.0 - x)),), square=True), "pole")
     arrays = dataclasses.replace(pole, field=lambda x: pole.field(x),
                                  jacobian=lambda x: pole.jacobian(x))
     mesh = TimeMesh.from_blocks([(0.0, 1.0, 1), (1.0, 2.5, 1)])

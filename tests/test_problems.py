@@ -155,9 +155,9 @@ _FLOAT_FORM_NAMES = [name for name in BENCHMARK_NAMES
 def test_float_form_rows_equal_per_row_array_calls_bitwise(name):
     """`evaluate_rows` calls a float form on the rows as lists; field and
     Jacobian rows are bitwise the per-row array calls, also on Arenstorf
-    rows where Python floats raise and the float form retries on numpy
-    scalars (the primary's singularity, and a far state whose r**1.5
-    overflows)."""
+    rows where Python floats raise and the batch runs again with each row
+    retried on numpy scalars (the primary's singularity, and a far state
+    whose r**1.5 overflows)."""
     system = make_benchmark(name)
     rng = np.random.default_rng(8)
     rows = [sample_benchmark_state(name, rng, system) for _ in range(6)]
