@@ -26,8 +26,9 @@ Both solve every damped step through one set of normal equations, built once
 per Jacobian with only its diagonal rewritten for each damping tried.  The
 regularized fit also corrects each such step once by J itself.  Both stop
 once an accepted step no longer moves the network's value at t = dt, the
-coarse endpoint, beyond round-off, and the exact fit also once a rejected
-Newton step does not.
+coarse endpoint: the exact fit once it moves by round-off, 1e-12 of its
+size, and also once a rejected Newton step does; the regularized fit, whose
+damped steps seldom reach round-off, once it moves by 1e-10 of its size.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ _STEP_TOL = 1e-12
 # endpoint.
 _FTOL = 1e-10
 _XTOL = 1e-12
+# The regularized fit's xtol on the coarse endpoint.  The exact fit's Newton
+# steps converge quadratically, so its endpoint reaches round-off, _XTOL, in a
+# step or two.  The damped steps do not: crawling along a flat valley of the
+# cost they seldom reach round-off before the iteration cap, while the
+# endpoint has long settled far below any Parareal tolerance.
+_REGULARIZED_ENDPOINT_XTOL = 1e-10
 _LAMBDA_INIT = 1e-3
 _LAMBDA_INCREASE = 10.0
 _LAMBDA_DECREASE = 10.0
@@ -299,7 +306,8 @@ class LmOptions:
     transient; it corrects each damped step once by J.  Both modes solve
     each damped step by the same normal equations, and in `train_coarse`
     both stop once an accepted step, or in the exact fit a rejected Newton
-    step, moves the coarse endpoint by at most 1e-12 of its size.
+    step, moves the coarse endpoint by at most 1e-12 of its size in the
+    exact fit and 1e-10 in the regularized one.
     """
 
     max_iter: int = 100
@@ -380,8 +388,9 @@ def levenberg_marquardt(
     "xtol" (||delta|| <= 1e-12 (1e-12 + ||theta||)).  Given
     `endpoint = (phi, x0)`, both fits also stop after an accepted step with
     "endpoint_xtol" when the step moves the endpoint x0 + phi^T theta of a
-    2-D theta by ||phi^T delta|| <= 1e-12 (1e-12 + ||x0 + phi^T theta||):
-    xtol on the value a coarse propagator steps with.  The exact fit also
+    2-D theta by ||phi^T delta|| <= tol (tol + ||x0 + phi^T theta||): xtol
+    on the value a coarse propagator steps with, at tol = 1e-12 in the
+    exact fit and 1e-10 in the regularized one.  The exact fit also
     stops so after a rejected undamped step that passes this test, and
     returns the weights it had: a full Newton step is the largest move it
     makes from theta, so a damped retry has nothing left to gain at the
@@ -407,6 +416,7 @@ def levenberg_marquardt(
         return theta, TrainReport(0, cost, _max_row_norm(r), 0, 0, "residual_tol",
                                   tuple(cost_history))
     lam = 0.0 if exact else _LAMBDA_INIT
+    endpoint_tol = _XTOL if exact else _REGULARIZED_ENDPOINT_XTOL
     theta_norm = _norm(theta)
     if phi is not None:
         # ||x0 + phi^T theta|| <= ||x0|| + ||phi|| ||theta||, doubled so that
@@ -422,11 +432,10 @@ def levenberg_marquardt(
             # Jacobian, so everything built here serves each damping tried.
             jac = np.asarray(jacobian_fn(theta))
             minus_r = -r.ravel(order="F")
-            diag = np.einsum("ij,ij->j", jac, jac)
-            if diag.min() < _MARQUARDT_DIAG_FLOOR:
-                diag = np.ones_like(diag)
             need_jacobian = False
-            normal = None  # J^T J and J^T (-r), formed at the first damped step
+            # J^T J, J^T (-r) and the Marquardt diagonal, formed at the first
+            # damped step: an undamped Newton step reads none of them.
+            normal = None
         while True:
             try:
                 if lam == 0.0:
@@ -435,6 +444,9 @@ def levenberg_marquardt(
                     # The damped normal equations, in one buffer.
                     if normal is None:
                         normal, gradient = jac.T @ jac, jac.T @ minus_r
+                        diag = np.einsum("ij,ij->j", jac, jac)
+                        if diag.min() < _MARQUARDT_DIAG_FLOOR:
+                            diag = np.ones_like(diag)
                         normal_diagonal = normal.reshape(-1)[:: len(diag) + 1]
                         undamped_diagonal = normal_diagonal.copy()
                     np.add(undamped_diagonal, lam * diag, out=normal_diagonal)
@@ -461,8 +473,9 @@ def levenberg_marquardt(
             # xtol on the coarse endpoint x0 + phi^T theta; the endpoint is
             # formed only for a move that passes the test against its bound.
             move = _norm(phi @ step)
-            endpoint_hit = (move <= _XTOL * (_XTOL + x0_bound + phi_bound * theta_norm)
-                            and move <= _XTOL * (_XTOL + _norm(x0 + phi @ theta)))
+            endpoint_hit = (
+                move <= endpoint_tol * (endpoint_tol + x0_bound + phi_bound * theta_norm)
+                and move <= endpoint_tol * (endpoint_tol + _norm(x0 + phi @ theta)))
         if cost_try < cost:
             ftol_hit = exact and cost - cost_try <= _FTOL * cost
             xtol_hit = exact and step_norm <= _XTOL * (_XTOL + theta_norm)
@@ -514,7 +527,9 @@ def train_coarse(
     `levenberg_marquardt` are bitwise `residual` and `residual_jacobian`;
     the Jacobian reuses the node states of the last residual call when
     asked at those weights.  The trainer also gets the feature row phi of
-    `eval_network` at t = dt, for "endpoint_xtol" in both fit modes.
+    `eval_network` at t = dt, for "endpoint_xtol" in both fit modes: a step
+    that moves the network's value there by at most 1e-12 of its size stops
+    the exact fit, and by at most 1e-10 the regularized one.
     """
     opts = opts or LmOptions()
     hp, hs = basis.feat_prime, basis.feat_shifted

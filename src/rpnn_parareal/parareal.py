@@ -64,9 +64,11 @@ class TimeMesh:
     @classmethod
     def from_blocks(cls, blocks: Sequence[tuple[float, float, int]]) -> "TimeMesh":
         """Concatenate uniform blocks, e.g. a refined early region then a
-        coarse tail; adjacent blocks must share their boundary time."""
+        coarse tail; adjacent blocks must share their boundary time, and each
+        block's interval count must be an integer >= 1 (a bool is not)."""
         nodes = None
-        for start, end, count in blocks:
+        for i, (start, end, count) in enumerate(blocks):
+            check_count(f"interval count of mesh block {i}", count)
             block = np.linspace(start, end, count + 1)
             if nodes is None:
                 nodes = block
