@@ -20,17 +20,17 @@ hold bitwise.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .collocation import LmOptions, TrainReport, TrainingError, collocation_nodes, train_coarse
-from .integrators import FineMethod, SolverError, check_count, fine_propagate, step_count
+from .collocation import LmOptions, TrainReport, TrainingError, train_coarse
+from .integrators import (FineMethod, SolverError, _check_positive, check_count,
+                          fine_propagate, step_count)
 from .problems import OdeSystem
-from .rpnn import BasisConditioningError, RpnnBasis, eval_network, sample_basis
+from .rpnn import BasisConditioningError, RpnnBasis, _check_ansatz, eval_network, sample_basis
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ class TimeMesh:
 
     @classmethod
     def uniform(cls, t0: float, t_end: float, n: int) -> "TimeMesh":
+        check_count("interval count", n)
         return cls(np.linspace(t0, t_end, n + 1))
 
     @classmethod
@@ -86,11 +87,8 @@ class PararealConfig:
     `max_it` counts the zeroth sweep: a run makes at most `max_it - 1`
     corrected iterations, so `max_it = 1` runs the zeroth sweep only and
     never converges.
-    Training inside the driver keeps damping active even once the schedule
-    floors: exact collocation fits of under-resolved stiff transients have
-    huge outer weights, which makes the coarse map erratic across iterations.
-    `fine` must be a `FineMethod` and `lm` an `LmOptions`; `lm=None` is
-    refused rather than read as the exact fit.
+    `fine` must be a `FineMethod` and `lm` an `LmOptions` (`None` is
+    refused); `lm` defaults to `LmOptions()`, the exact fit.
     `workers` is accepted and validated but has no effect: the fine sweep
     runs in the calling thread.
     """
@@ -105,26 +103,18 @@ class PararealConfig:
     seed: int = 0
     record_trace: bool = False
     workers: int = 1
-    lm: LmOptions = dc_field(default_factory=lambda: LmOptions(floor_to_gauss_newton=False))
+    lm: LmOptions = LmOptions()
 
     def __post_init__(self):
         if not isinstance(self.fine, FineMethod):
             raise ValueError(f"fine must be a FineMethod, got {self.fine!r}")
         if not isinstance(self.lm, LmOptions):
             raise ValueError(f"lm must be an LmOptions, got {self.lm!r}")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        _check_positive("tol", self.tol)
         check_count("max_it", self.max_it)
         check_count("workers", self.workers)
         check_count("seed", self.seed, 0)
-        check_count("hidden", self.hidden)
-        check_count("colloc", self.colloc)
-        if self.hidden != self.colloc:
-            raise ValueError("this ansatz requires hidden == colloc")
-        collocation_nodes(self.node_kind, self.colloc, 1.0)  # rejects a kind it cannot place
-        lo, hi = self.weight_bounds
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"invalid weight bounds {self.weight_bounds!r}")
+        _check_ansatz(self.hidden, self.colloc, self.node_kind, self.weight_bounds)
 
 
 @dataclass

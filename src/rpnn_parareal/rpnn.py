@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collocation import collocation_nodes
-from .integrators import SolverError
+from .integrators import SolverError, check_count
 
 logger = logging.getLogger(__name__)
 
@@ -73,6 +74,22 @@ def _feature_matrices(a, b, nodes):
     return feat, feat_prime
 
 
+def _check_ansatz(hidden, colloc, node_kind, bounds, dt=1.0) -> np.ndarray:
+    """The collocation nodes on [0, dt].  Rejects counts that are not integers
+    >= 1 or differ, a node kind that cannot be placed, and bounds that are
+    not finite reals lo < hi."""
+    check_count("hidden", hidden)
+    check_count("colloc", colloc)
+    if hidden != colloc:
+        raise ValueError("this ansatz requires hidden == colloc")
+    nodes = collocation_nodes(node_kind, colloc, dt)
+    lo, hi = bounds
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               for v in bounds) or not lo < hi:
+        raise ValueError(f"invalid weight bounds {bounds!r}")
+    return nodes
+
+
 def sample_basis(
     hidden: int = 5,
     colloc: int = 5,
@@ -87,12 +104,8 @@ def sample_basis(
     is ill conditioned, (a, b) are redrawn with a fresh derived seed, at most
     10 times; the resample count is recorded on the basis.
     """
-    if hidden != colloc or hidden < 1:
-        raise ValueError("this ansatz requires hidden == colloc >= 1")
+    nodes = _check_ansatz(hidden, colloc, node_kind, bounds, dt)
     lo, hi = bounds
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid weight bounds {bounds!r}")
-    nodes = collocation_nodes(node_kind, colloc, dt)
     for attempt in range(_MAX_RESAMPLES + 1):
         rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
         a = rng.uniform(lo, hi, hidden)

@@ -62,7 +62,8 @@ def rober_reduced_run():
     x0 = np.array([1.0, 0.0, 0.0])
     mesh = TimeMesh.from_blocks([(0.0, 1.0, 10), (1.0, 10.0, 5)])
     config = PararealConfig(
-        fine=FineMethod("implicit-euler", 1e-3), tol=1e-4, max_it=20, seed=1
+        fine=FineMethod("implicit-euler", 1e-3), tol=1e-4, max_it=20, seed=1,
+        lm=LmOptions(floor_to_gauss_newton=False),
     )
     tic = time.perf_counter()
     result = parareal_solve(system, x0, mesh, config)
@@ -306,7 +307,8 @@ def test_criterion_6_rober_full_mesh():
     x0 = np.array([1.0, 0.0, 0.0])
     mesh = TimeMesh.from_blocks([(0.0, 1.0, 100), (1.0, 100.0, 33)])
     config = PararealConfig(
-        fine=FineMethod("implicit-euler", 1e-4), tol=1e-4, max_it=20, seed=1
+        fine=FineMethod("implicit-euler", 1e-4), tol=1e-4, max_it=20, seed=1,
+        lm=LmOptions(floor_to_gauss_newton=False),
     )
     tic = time.perf_counter()
     result = parareal_solve(system, x0, mesh, config)

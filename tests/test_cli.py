@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from rpnn_parareal import SolverError, cli, evaluate_piecewise, make_benchmark
+from rpnn_parareal import (FineMethod, PararealConfig, SolverError, cli, evaluate_piecewise,
+                           make_benchmark)
 from rpnn_parareal.cli import (
     ComparisonTable,
     ConfigError,
@@ -17,6 +18,7 @@ from rpnn_parareal.cli import (
     main,
     run_experiment,
 )
+from rpnn_parareal.problems import BENCHMARK_NAMES
 
 from conftest import assert_bitwise
 
@@ -53,6 +55,10 @@ def test_benchmark_defaults_cover_paper_setups():
     assert sir["tol"] == 1e-4 and sir["max_it"] == 20
     assert sir["rpnn"]["gauss_newton_floor"] is True
     assert rober["rpnn"]["gauss_newton_floor"] is False
+    # One default fit: every benchmark but rober takes `PararealConfig`'s.
+    library = PararealConfig(fine=FineMethod()).lm.floor_to_gauss_newton
+    for name in set(BENCHMARK_NAMES) - {"rober"}:
+        assert benchmark_defaults(name)["rpnn"]["gauss_newton_floor"] == library
     assert arenstorf["max_it"] == 40
 
 

@@ -865,8 +865,7 @@ def _rober_trainings(monkeypatch, seed):
     """Every training of the reduced ROBER run, all of them regularized fits."""
     mesh = TimeMesh.from_blocks([(0.0, 1.0, 10), (1.0, 10.0, 5)])
     config = PararealConfig(fine=FineMethod("implicit-euler", 1e-3), tol=1e-4, max_it=20,
-                            seed=seed)
-    assert not config.lm.floor_to_gauss_newton
+                            seed=seed, lm=LmOptions(floor_to_gauss_newton=False))
     calls = _recorded_solve(monkeypatch, make_benchmark("rober"), np.array([1.0, 0.0, 0.0]),
                             mesh, config)
     assert len(calls) >= mesh.n_intervals

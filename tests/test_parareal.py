@@ -52,6 +52,14 @@ def test_mesh_validation():
         TimeMesh(np.array([0.0, np.nan]))
 
 
+# `uniform` read True as 1, raised a message without the count on 0 and -1,
+# and a TypeError on 2.0.
+@pytest.mark.parametrize("count", [0, -1, True, 2.0, "2"])
+def test_uniform_mesh_rejects_a_count_that_is_not_an_integer_of_at_least_one(count):
+    with pytest.raises(ValueError, match=r"interval count must be an integer >= 1"):
+        TimeMesh.uniform(0.0, 1.0, count)
+
+
 @pytest.mark.parametrize("count", [0, -1, True, 2.0, "2"])
 def test_mesh_blocks_reject_a_count_that_is_not_an_integer_of_at_least_one(count):
     with pytest.raises(ValueError, match=r"mesh block 1 must be an integer >= 1"):
@@ -121,20 +129,22 @@ def _config(dt, **kwargs):
     {"weight_bounds": (1.0, -1.0)},
     {"weight_bounds": (-np.inf, 1.0)},
     {"seed": -1},
+    {"weight_bounds": (True, 2.0)},
 ], ids=["hidden-not-colloc", "unknown-node-kind", "reversed-bounds", "infinite-bound",
-        "negative-seed"])
+        "negative-seed", "bool-bound"])
 def test_config_rejects_bad_basis_settings(basis):
     with pytest.raises(ValueError):
         _config(1e-2, **basis)
 
 
 # An infinite tol would accept the zeroth sweep after 0 iterations; a
-# fractional or bool cap would run as some other count.
+# fractional or bool cap would run as some other count.  A bool tol ran as
+# 1.0, and a string one raised a TypeError.
 @pytest.mark.parametrize("settings", [
     {"tol": np.inf}, {"tol": np.nan}, {"tol": 0.0}, {"max_it": 2.5}, {"max_it": True},
-    {"max_it": "3"}, {"max_it": 0},
+    {"max_it": "3"}, {"max_it": 0}, {"tol": True}, {"tol": "1e-4"},
 ], ids=["inf-tol", "nan-tol", "zero-tol", "fractional-max_it", "bool-max_it",
-        "string-max_it", "zero-max_it"])
+        "string-max_it", "zero-max_it", "bool-tol", "string-tol"])
 def test_config_rejects_bad_tol_and_max_it(settings):
     with pytest.raises(ValueError):
         _config(1e-2, **settings)
@@ -158,7 +168,8 @@ def test_config_rejects_non_integer_counts(settings):
 
 
 # lm=None trained with the exact fit, through `opts or LmOptions()`, although
-# the documented default is the regularized fit.
+# the default was then the regularized fit; it is refused rather than read
+# as any fit.
 @pytest.mark.parametrize("settings", [
     {"lm": None}, {"lm": {"floor_to_gauss_newton": False}},
     {"fine": None}, {"fine": "rk4"},
@@ -566,8 +577,8 @@ def test_rober_default_keeps_iterations_and_error_in_fewer_lm_iterations():
     assert sum(r.iterations for r in reports) < 2000
 
 
-# The regularized fit is `PararealConfig`'s default, which no CLI default
-# uses off rober.  On the sir and brusselator CLI defaults at seed 0 it
+# No CLI default uses the regularized fit off rober, and `PararealConfig`
+# defaults to the exact fit.  On the sir and brusselator CLI defaults at seed 0 it
 # converged in 1 and 3 iterations with errors 6.8e-11 and 1.1e-10 before the
 # endpoint stop, 1.3e-10 and 5.7e-11 with it at 1e-12 and 3.3e-10 and 8.3e-10
 # with it at 1e-10, against tol 1e-4; the bound leaves a factor of about 3
@@ -601,10 +612,20 @@ def test_regularized_fit_on_lorenz_seed_0_converges_below_tol():
 # the trainer's stopping tests first moves iteration counts.  At seeds 0 and
 # 1 the default converges in 2 iterations with errors 1.65e-5 and 7.4e-6
 # against serial (1.51e-5 and 7.8e-6 before the exact fit stopped on the
-# coarse endpoint): margins of about 6 and 13 below tol 1e-4.
+# coarse endpoint): margins of about 6 and 13 below tol 1e-4.  A
+# `PararealConfig` built by hand with the CLI's fine method, tol and max_it
+# is that config: its default fit is the exact fit too (the regularized fit
+# took 8 and 10 iterations here when it was the default).
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exact_fit_on_lorenz_default_converges_in_two_iterations(seed):
-    result, err, _ = _cli_run({"benchmark": "lorenz", "rpnn": {"seed": seed}})
+    system, x0, mesh, config = build_solver(ExperimentConfig.from_dict(
+        {"benchmark": "lorenz", "rpnn": {"seed": seed}}))
+    by_hand = PararealConfig(fine=config.fine, tol=config.tol, max_it=config.max_it,
+                             seed=seed)
+    assert by_hand == config
+    result = parareal_solve(system, x0, mesh, by_hand)
+    err = compare_with_serial(result.node_states,
+                              serial_solve(system, x0, mesh, by_hand.fine)).max_euclidean
     assert result.converged and result.iterations == 2
     assert err < 1e-4
 

@@ -73,6 +73,8 @@ def test_sample_basis_validation():
         sample_basis(5, 5, 0.0)
     with pytest.raises(ValueError):
         sample_basis(5, 5, 1.0, bounds=(1.0, -1.0))
+    with pytest.raises(ValueError, match="hidden"):
+        sample_basis(True, True, 1.0)
 
 
 # These raised OverflowError from numpy and LinAlgError from the SVD.
