@@ -43,7 +43,6 @@ import csv
 import dataclasses
 import json
 import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -54,7 +53,8 @@ import numpy as np
 from . import __version__
 from .certificates import field_log_norm_bound, quadrature_certificate
 from .collocation import LmOptions, collocation_grid
-from .integrators import FineMethod, NewtonOptions, SolverError, serial_solve, step_count
+from .integrators import (FineMethod, NewtonOptions, SolverError, _check_real, serial_solve,
+                          step_count)
 from .parareal import PararealConfig, PararealResult, TimeMesh, evaluate_piecewise, parareal_solve
 from .problems import BENCHMARK_NAMES, OdeSystem, default_initial_state, make_benchmark
 from .rpnn import eval_network_many
@@ -210,18 +210,11 @@ def _integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def _real(name: str, value):
-    """`value` if it is a real number; a bool or a string is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
-
-
 def _reals(name: str, values) -> list:
     """`values` if it is a list (or tuple) of real numbers, as a list."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{name} must be a list of real numbers, got {values!r}")
-    return [_real(f"{name} entry", value) for value in values]
+    return [_check_real(f"{name} entry", value) for value in values]
 
 
 def _boolean(name: str, value) -> bool:
@@ -257,7 +250,7 @@ def build_solver(config: ExperimentConfig
             if not np.all(np.isfinite(x0)):
                 raise ValueError("initial_state must be finite")
 
-        t0, t_end = _real("t0", config.t0), _real("t_end", config.t_end)
+        t0, t_end = _check_real("t0", config.t0), _check_real("t_end", config.t_end)
         kind = config.mesh["kind"]
         if kind not in _MESH_SIZE_KEYS:
             raise ValueError(f"unknown mesh kind {kind!r}")
@@ -267,10 +260,15 @@ def build_solver(config: ExperimentConfig
             mesh = TimeMesh.uniform(t0, t_end,
                                     _integer("mesh intervals", config.mesh["intervals"], 1))
         else:
+            blocks = config.mesh["blocks"]
+            if not (isinstance(blocks, (list, tuple)) and all(
+                    isinstance(block, (list, tuple)) and len(block) == 3 for block in blocks)):
+                raise ValueError(f"mesh blocks must be a list of [start, end, count] triples, "
+                                 f"got {blocks!r}")
             mesh = TimeMesh.from_blocks(
-                [(float(_real("mesh block start", a)), float(_real("mesh block end", b)),
-                  _integer("mesh block count", n, 1))
-                 for a, b, n in config.mesh["blocks"]])
+                [(float(_check_real("mesh block start", a)),
+                  float(_check_real("mesh block end", b)), _integer("mesh block count", n, 1))
+                 for a, b, n in blocks])
             span = (float(mesh.nodes[0]), float(mesh.nodes[-1]))
             if span != (t0, t_end):
                 raise ValueError(f"mesh blocks span {list(span)}, "
@@ -278,10 +276,10 @@ def build_solver(config: ExperimentConfig
 
         fine = FineMethod(
             kind=config.fine["kind"],
-            dt=float(_real("fine dt", config.fine["dt"])),
-            newton=NewtonOptions(tol=float(_real("fine newton_tol", config.fine["newton_tol"])),
-                                 max_iter=_integer("fine newton_max_iter",
-                                                   config.fine["newton_max_iter"], 1)),
+            dt=float(_check_real("fine dt", config.fine["dt"])),
+            newton=NewtonOptions(
+                tol=float(_check_real("fine newton_tol", config.fine["newton_tol"])),
+                max_iter=_integer("fine newton_max_iter", config.fine["newton_max_iter"], 1)),
         )
         for length in mesh.lengths:
             step_count(float(length), fine.dt)
@@ -290,7 +288,7 @@ def build_solver(config: ExperimentConfig
         seed = rpnn["seed"]
         solver = PararealConfig(
             fine=fine,
-            tol=_real("tol", config.tol),
+            tol=_check_real("tol", config.tol),
             max_it=_integer("max_it", config.max_it, 1),
             hidden=_integer("rpnn hidden", rpnn["hidden"], 1),
             colloc=_integer("rpnn colloc", rpnn["colloc"], 1),

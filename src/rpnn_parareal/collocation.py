@@ -11,14 +11,14 @@ respect to vec(theta) (column stacking) is
     I_d (x) Hp - dvecF/dvecX . (I_d (x) (H - H0)),
 
 square when there are as many hidden units as collocation nodes.  F and DF
-on the C node states come from `system.field_rows` and `evaluate_rows`; on
-the closed-form systems the trainer keeps the states as rows of Python
-floats and reads both through their float forms by `problems._float_rows`,
-the loop `evaluate_rows` runs.  The states are evaluated once per trial
-weights: the residual keeps them for the Jacobian, which is asked for only
-at the weights of an accepted trial.  The trainer works on this dense
-Jacobian for every system, with its constant block I_d (x) Hp built once
-per training, and has two modes.
+on the C x d array of node states come from `system.field_rows` and
+`evaluate_rows(system.jacobian, ...)`, for every system, the trainer
+included; on the closed-form systems both run their float forms row by
+row.  The states are evaluated once per trial weights: the residual keeps
+them for the Jacobian, which is asked for only at the weights of an
+accepted trial.  The trainer works on this dense Jacobian for every system,
+with its constant block I_d (x) Hp built once per training, and has two
+modes.
 The exact fit solves G = 0 by Newton's method, damping only after a rejected
 step.  The regularized fit keeps Marquardt damping on throughout, so that a
 stiff transient the ansatz cannot resolve still gets weights of moderate size.
@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .integrators import SolverError, check_count
-from .problems import BurgersDiscretization, OdeSystem, _float_rows, evaluate_rows
+from .problems import BurgersDiscretization, OdeSystem, evaluate_rows
 
 if TYPE_CHECKING:
     from .rpnn import RpnnBasis
@@ -177,45 +176,41 @@ def collocation_grid(kind: str, c: int, dt: float) -> CollocationGrid:
 
 def collocation_states(basis: "RpnnBasis", theta: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Ansatz values at the collocation nodes, stacked rowwise (C x d)."""
-    return x0[np.newaxis, :] + basis.feat_shifted @ theta
+    return x0 + basis.feat_shifted @ theta
 
 
-def _at_nodes(states: np.ndarray | list, floats: Callable | None,
-              rows_fn: Callable[[np.ndarray], np.ndarray], what: str) -> np.ndarray:
-    """F or DF at the node states, one row per state; a non-finite value
-    raises `TrainingError`, naming `what`.
+def _at_nodes(values: np.ndarray, what: str) -> np.ndarray:
+    """`values`, F or DF at the node states; a non-finite entry raises
+    `TrainingError`, naming `what`.
 
-    The states are a C x d array, read by `rows_fn`, or its rows as lists
-    of floats, read by the float form `floats` through `_float_rows`, whose
-    Python floats are then tested for finiteness as they are.  A Jacobian's
-    rows are C x d x d from `rows_fn` and C x d*d from `floats`.
+    A finite sum of squares has only finite terms, so the entrywise test
+    runs only when that sum is not finite, as it is too when finite entries
+    overflow.  `np.vdot` forms the sum faster than `np.isfinite` tests.
     """
-    if isinstance(states, list):
-        flat = _float_rows(floats, states)
-        values = np.array(flat).reshape(len(states), -1)
-        finite = all(map(math.isfinite, flat))
-    else:
-        values = rows_fn(states)
-        finite = np.isfinite(values).all()
-    if not finite:
+    if not (math.isfinite(np.vdot(values, values)) or np.isfinite(values).all()):
         raise TrainingError(f"{what} returned non-finite values at collocation states")
     return values
+
+
+def _residual_at(
+    basis: "RpnnBasis", theta: np.ndarray, states: np.ndarray, system: OdeSystem
+) -> np.ndarray:
+    """G at weights theta whose node states are `states`."""
+    return basis.feat_prime @ theta - _at_nodes(system.field_rows(states), "vector field")
 
 
 def residual(
     basis: "RpnnBasis", theta: np.ndarray, x0: np.ndarray, system: OdeSystem
 ) -> np.ndarray:
     """Collocation residual G = Hp theta - F(states), F from `system.field_rows`."""
-    states = collocation_states(basis, theta, x0)
-    return basis.feat_prime @ theta - _at_nodes(states, None, system.field_rows, "vector field")
+    return _residual_at(basis, theta, collocation_states(basis, theta, x0), system)
 
 
 def _residual_jacobian_of(
     basis: "RpnnBasis", x0: np.ndarray, system: OdeSystem
 ) -> Callable[[np.ndarray], np.ndarray]:
     """`residual_jacobian(basis, theta, x0, system)` as a function of the
-    node states `collocation_states(basis, theta, x0)`, as an array or as
-    float rows (`_at_nodes`).
+    C x d node states `collocation_states(basis, theta, x0)`.
 
     Rows of vec(G) are (j, c) and columns of vec(theta) (k, h), so the
     Jacobian is the (d, C, d, H) array delta_jk * Hp[c, h] - DF_c[j, k] *
@@ -228,11 +223,9 @@ def _residual_jacobian_of(
     hp, hm = basis.feat_prime, basis.feat_shifted[:, np.newaxis, :]
     (c_count, h_count), d = hp.shape, len(x0)
     frame = np.eye(d)[:, np.newaxis, :, np.newaxis] * hp[:, np.newaxis, :]
-    floats = getattr(system.jacobian, "floats", None)
-    rows_fn = partial(evaluate_rows, system.jacobian)
 
     def jacobian(states):
-        jacs = _at_nodes(states, floats, rows_fn, "field Jacobian").reshape(c_count, d, d)
+        jacs = _at_nodes(evaluate_rows(system.jacobian, states), "field Jacobian")
         blocks = np.multiply(jacs.transpose(1, 0, 2)[:, :, :, np.newaxis], hm,
                              out=np.empty(frame.shape))
         return np.subtract(frame, blocks, out=blocks).reshape(d * c_count, d * h_count)
@@ -532,31 +525,20 @@ def train_coarse(
     the exact fit, and by at most 1e-10 the regularized one.
     """
     opts = opts or LmOptions()
-    hp, hs = basis.feat_prime, basis.feat_shifted
     if theta_init is None:
-        theta_init = np.zeros((hp.shape[1], system.dim))
-    x0_row = x0[np.newaxis, :]
-    field_rows, floats = system.field_rows, getattr(system.field, "floats", None)
-    # Float rows when both F and DF have float forms and F's rows are the
-    # default `evaluate_rows`, which would read them through that form.
-    on_floats = (floats is not None and hasattr(system.jacobian, "floats")
-                 and getattr(field_rows, "func", None) is evaluate_rows)
+        theta_init = np.zeros((basis.hidden, system.dim))
     jacobian_at = _residual_jacobian_of(basis, x0, system)
     last = [None, None]  # the weights of the last residual call and its node states
 
-    def node_states(theta):
-        states = x0_row + hs @ theta
-        return states.tolist() if on_floats else states
-
     def residual_fn(theta):
-        states = node_states(theta)
+        states = collocation_states(basis, theta, x0)
         last[:] = theta, states
-        return hp @ theta - _at_nodes(states, floats, field_rows, "vector field")
+        return _residual_at(basis, theta, states, system)
 
     def jacobian_fn(theta):
         # levenberg_marquardt asks for a Jacobian only at the weights its last
         # residual call saw, and writes to no weights it has passed.
-        return jacobian_at(last[1] if theta is last[0] else node_states(theta))
+        return jacobian_at(last[1] if theta is last[0] else collocation_states(basis, theta, x0))
 
     phi = np.tanh(basis.a * basis.dt + basis.b) - basis.sigma_b
     return levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts, endpoint=(phi, x0))

@@ -81,6 +81,13 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_real(name: str, value):
+    """`value` if it is a real number; a bool or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def _check_positive(name: str, value) -> None:
     """Reject a value that is not a real number (a bool included), or is not
     positive and finite."""

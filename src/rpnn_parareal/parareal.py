@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .collocation import LmOptions, TrainReport, TrainingError, train_coarse
-from .integrators import (FineMethod, SolverError, _check_positive, check_count,
+from .integrators import (FineMethod, SolverError, _check_positive, _check_real, check_count,
                           fine_propagate, step_count)
 from .problems import OdeSystem
 from .rpnn import BasisConditioningError, RpnnBasis, _check_ansatz, eval_network, sample_basis
@@ -60,17 +60,19 @@ class TimeMesh:
     @classmethod
     def uniform(cls, t0: float, t_end: float, n: int) -> "TimeMesh":
         check_count("interval count", n)
-        return cls(np.linspace(t0, t_end, n + 1))
+        return cls(np.linspace(_check_real("t0", t0), _check_real("t_end", t_end), n + 1))
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[tuple[float, float, int]]) -> "TimeMesh":
         """Concatenate uniform blocks, e.g. a refined early region then a
-        coarse tail; adjacent blocks must share their boundary time, and each
-        block's interval count must be an integer >= 1 (a bool is not)."""
+        coarse tail; adjacent blocks must share their boundary time, each
+        block's endpoints must be real numbers and its interval count an
+        integer >= 1 (a bool is neither)."""
         nodes = None
         for i, (start, end, count) in enumerate(blocks):
             check_count(f"interval count of mesh block {i}", count)
-            block = np.linspace(start, end, count + 1)
+            block = np.linspace(_check_real(f"start of mesh block {i}", start),
+                                _check_real(f"end of mesh block {i}", end), count + 1)
             if nodes is None:
                 nodes = block
             else:
@@ -114,6 +116,8 @@ class PararealConfig:
         check_count("max_it", self.max_it)
         check_count("workers", self.workers)
         check_count("seed", self.seed, 0)
+        if not isinstance(self.record_trace, (bool, np.bool_)):
+            raise ValueError(f"record_trace must be a bool, got {self.record_trace!r}")
         _check_ansatz(self.hidden, self.colloc, self.node_kind, self.weight_bounds)
 
 

@@ -93,30 +93,24 @@ class BurgersDiscretization:
 def evaluate_rows(fn: Callable[[Vector], np.ndarray], states: Matrix) -> np.ndarray:
     """`fn` at each row of `states`, stacked (C x d x d for a Jacobian).
 
-    A `fn` with a float form (`_on_floats`) is called through it by
-    `_float_rows` on the rows of `states.tolist()`: the same Python floats
-    that `fn` would pass it, so the result is bitwise that of the per-row
-    array calls.  Its `square` attribute marks a Jacobian's d * d entries.
+    A `fn` with a float form (`_on_floats`) is called through it on the rows
+    of `states.tolist()`: the same Python floats that `fn` would pass it, so
+    the result is bitwise that of the per-row array calls.  Its values are
+    read into one flat list, row after row, and the array built from it is
+    reshaped, which numpy does faster than reading nested lists; `square`
+    marks a Jacobian's d * d entries.  Where Python floats raise, the whole
+    batch runs again with each row retried on numpy scalars (`_retrying`).
     """
     floats = getattr(fn, "floats", None)
     if floats is None:
         return np.array([fn(row) for row in states])
-    shape = states.shape + states.shape[1:] if getattr(fn, "square", False) else states.shape
-    return np.array(_float_rows(floats, states.tolist())).reshape(shape)
-
-
-def _float_rows(floats: Callable[..., tuple], rows: list) -> list:
-    """A float form at each of `rows`, states as lists of floats: its values
-    in one flat list, row after row.
-
-    Where Python floats raise, the whole batch runs again with each row
-    retried on numpy scalars (`_retrying`), so a row's values are bitwise
-    those of the array form at that row.
-    """
+    rows = states.tolist()
     try:
-        return list(chain.from_iterable(starmap(floats, rows)))
+        flat = list(chain.from_iterable(starmap(floats, rows)))
     except (ZeroDivisionError, OverflowError):
-        return list(chain.from_iterable(starmap(_retrying(floats), rows)))
+        flat = list(chain.from_iterable(starmap(_retrying(floats), rows)))
+    shape = states.shape + states.shape[1:] if getattr(fn, "square", False) else states.shape
+    return np.array(flat).reshape(shape)
 
 
 def _retrying(floats: Callable[..., tuple]) -> Callable[..., tuple]:
@@ -126,7 +120,7 @@ def _retrying(floats: Callable[..., tuple]) -> Callable[..., tuple]:
     an overflowing power); numpy scalars give the non-finite value that the
     caller's finiteness check then sees.  Both round every operation the
     same way, so where both return, the values are bitwise equal.  The
-    kernels of `integrators` and `_float_rows` call the float form bare and
+    kernels of `integrators` and `evaluate_rows` call the float form bare and
     take this one only to redo an interval, or a batch of rows, that raised.
     """
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,12 +78,14 @@ def _feature_matrices(a, b, nodes):
 def _check_ansatz(hidden, colloc, node_kind, bounds, dt=1.0) -> np.ndarray:
     """The collocation nodes on [0, dt].  Rejects counts that are not integers
     >= 1 or differ, a node kind that cannot be placed, and bounds that are
-    not finite reals lo < hi."""
+    not a pair of finite reals lo < hi."""
     check_count("hidden", hidden)
     check_count("colloc", colloc)
     if hidden != colloc:
         raise ValueError("this ansatz requires hidden == colloc")
     nodes = collocation_nodes(node_kind, colloc, dt)
+    if not (isinstance(bounds, Sized) and len(bounds) == 2):
+        raise ValueError(f"weight bounds must be a pair (lo, hi), got {bounds!r}")
     lo, hi = bounds
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
                for v in bounds) or not lo < hi:

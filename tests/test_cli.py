@@ -468,6 +468,12 @@ _MISTYPED_SIR_SETTINGS = {
     "string-block-end": ({"benchmark": "rober", "t_end": 1.0, "fine": {"dt": 1e-3},
                           "mesh": {"kind": "blocks", "blocks": [[0.0, "1.0", 2]]}},
                          "mesh block end"),
+    # These named no setting: an unpacking error, or "'int' object is not iterable".
+    "three-bounds": ({"rpnn": {"bounds": [-1, 0, 1]}}, "weight bounds"),
+    "pair-block": ({"benchmark": "rober", "t_end": 1.0, "fine": {"dt": 1e-3},
+                    "mesh": {"kind": "blocks", "blocks": [[0.0, 1.0]]}}, "mesh blocks"),
+    "number-blocks": ({"benchmark": "rober", "t_end": 1.0, "fine": {"dt": 1e-3},
+                       "mesh": {"kind": "blocks", "blocks": 5}}, "mesh blocks"),
 }
 
 

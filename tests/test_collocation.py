@@ -166,16 +166,17 @@ def test_residual_at_a_float_form_pole_is_a_training_error():
     basis = sample_basis(5, 5, 1.0, seed=0)
     with pytest.raises(TrainingError, match="non-finite"):
         residual(basis, np.zeros((5, 1)), np.array([2.0]), pole)
-    # Training reads the float form on float rows and tests those floats.
+    # Training reads F through the same `field_rows` and finiteness check.
     with pytest.raises(TrainingError, match="vector field returned non-finite values"):
         train_coarse(basis, np.array([2.0]), pole)
 
 
-# The trainer reads the float forms bare on a batch of node rows; where one
-# row raises on Python floats, the batch runs again with each row retried on
-# numpy scalars.  The row at t = 0 is x0, where the clock's Python floats
-# divide by zero, in every batch: training gives the bits, or the failure,
-# of the copy without float forms.
+# `evaluate_rows`, which the trainer reads F and DF through, calls the float
+# forms bare on a batch of node rows; where one row raises on Python floats,
+# the batch runs again with each row retried on numpy scalars.  The row at
+# t = 0 is x0, where the clock's Python floats divide by zero, in every
+# batch: training gives the bits, or the failure, of the copy without float
+# forms.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "regularized"])
 def test_float_rows_that_raise_train_as_the_array_path(exact):
@@ -196,6 +197,15 @@ def test_float_rows_that_raise_train_as_the_array_path(exact):
         failures.append(str(info.value))
     assert failures[0] == failures[1]
     assert failures[0] == "vector field returned non-finite values at collocation states"
+
+
+# The finiteness check tests entries one by one only when their sum of
+# squares is not finite: finite entries whose squares overflow still pass.
+def test_residual_of_huge_finite_field_values_is_not_a_training_error():
+    basis = sample_basis(5, 5, 1.0, seed=0)
+    c = np.array([1e200, -1e200])
+    g = residual(basis, np.zeros((5, 2)), np.zeros(2), constant_system(c))
+    np.testing.assert_array_equal(g, np.tile(-c, (5, 1)))
 
 
 def test_residual_scalar_entry_formula():
@@ -896,8 +906,8 @@ def test_exact_fit_equals_reference_on_arenstorf_intervals(monkeypatch):
 def test_exact_fit_equals_reference_on_burgers_intervals(monkeypatch):
     """Every training of the short Burgers sine run gives bitwise the
     reference loop's weights, cost history and report, endpoint xtol
-    included.  Burgers has no float forms, so this pins the trainer's array
-    path; the ROBER and Arenstorf pins above run on float rows."""
+    included.  Burgers has no float forms, so this pins its batched
+    `field_rows`; the ROBER and Arenstorf pins above run on float forms."""
     calls = _recorded_trainings(monkeypatch, {
         "benchmark": "burgers", "burgers_ic": "sine", "t_end": 0.08,
         "mesh": {"kind": "uniform", "intervals": 4}, "rpnn": {"seed": 11}})
@@ -974,7 +984,7 @@ def test_training_calls_only_float_forms(monkeypatch):
             calls[name + ".floats"] += 1
             return fn.floats(*values)
 
-        array.floats = floats
+        array.floats, array.square = floats, fn.square
         return array
 
     real_lm = collocation.levenberg_marquardt

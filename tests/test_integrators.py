@@ -224,7 +224,7 @@ def test_implicit_euler_float_path_equals_array_path_bitwise(name, dt, steps):
 
 
 # The primary and near-primary states make Python floats raise, so the float
-# form is retried on numpy scalars, as the kernels and `_float_rows` do; at
+# form is retried on numpy scalars, as the kernels and `evaluate_rows` do; at
 # the far state r**1.5 overflows.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", ["sir", "rober", "lorenz", "arenstorf", "brusselator"])

@@ -66,6 +66,19 @@ def test_mesh_blocks_reject_a_count_that_is_not_an_integer_of_at_least_one(count
         TimeMesh.from_blocks([(0.0, 1.0, 10), (1.0, 10.0, count)])
 
 
+# Both builders read a bool endpoint as 0 or 1, and a string t0 raised
+# numpy's DTypePromotionError.
+@pytest.mark.parametrize("build, name", [
+    (lambda: TimeMesh.uniform(0.0, True, 2), "t_end"),
+    (lambda: TimeMesh.uniform("0", 1.0, 2), "t0"),
+    (lambda: TimeMesh.from_blocks([(False, True, 2)]), "start of mesh block 0"),
+    (lambda: TimeMesh.from_blocks([(0.0, 1.0, 2), (1.0, "2", 2)]), "end of mesh block 1"),
+], ids=["bool-t_end", "string-t0", "bool-block-start", "string-block-end"])
+def test_mesh_builders_reject_endpoints_that_are_not_real_numbers(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        build()
+
+
 def test_mesh_builders():
     mesh = TimeMesh.uniform(0.0, 2.0, 4)
     np.testing.assert_allclose(mesh.nodes, [0, 0.5, 1.0, 1.5, 2.0])
@@ -123,17 +136,21 @@ def _config(dt, **kwargs):
     return PararealConfig(fine=FineMethod("rk4", dt), **kwargs)
 
 
-@pytest.mark.parametrize("basis", [
-    {"hidden": 4},
-    {"node_kind": "gauss"},
-    {"weight_bounds": (1.0, -1.0)},
-    {"weight_bounds": (-np.inf, 1.0)},
-    {"seed": -1},
-    {"weight_bounds": (True, 2.0)},
+# Bounds that are not a pair raised an unpacking error that named no setting.
+@pytest.mark.parametrize("basis, message", [
+    ({"hidden": 4}, "hidden == colloc"),
+    ({"node_kind": "gauss"}, "node kind"),
+    ({"weight_bounds": (1.0, -1.0)}, "weight bounds"),
+    ({"weight_bounds": (-np.inf, 1.0)}, "weight bounds"),
+    ({"seed": -1}, "seed"),
+    ({"weight_bounds": (True, 2.0)}, "weight bounds"),
+    ({"weight_bounds": (0.0, 1.0, 2.0)}, "weight bounds must be a pair"),
+    ({"weight_bounds": (1.0,)}, "weight bounds must be a pair"),
+    ({"weight_bounds": 5.0}, "weight bounds must be a pair"),
 ], ids=["hidden-not-colloc", "unknown-node-kind", "reversed-bounds", "infinite-bound",
-        "negative-seed", "bool-bound"])
-def test_config_rejects_bad_basis_settings(basis):
-    with pytest.raises(ValueError):
+        "negative-seed", "bool-bound", "three-bounds", "one-bound", "scalar-bounds"])
+def test_config_rejects_bad_basis_settings(basis, message):
+    with pytest.raises(ValueError, match=message):
         _config(1e-2, **basis)
 
 
@@ -177,6 +194,13 @@ def test_config_rejects_non_integer_counts(settings):
 def test_config_rejects_settings_of_the_wrong_type(settings):
     with pytest.raises(ValueError, match="must be an? (FineMethod|LmOptions)"):
         dataclasses.replace(_config(1e-2), **settings)
+
+
+# A truthy string turned tracing on.
+@pytest.mark.parametrize("flag", ["no", 1, None], ids=["string", "int", "none"])
+def test_config_rejects_record_trace_that_is_not_a_bool(flag):
+    with pytest.raises(ValueError, match="record_trace must be a bool"):
+        _config(1e-2, record_trace=flag)
 
 
 def test_config_accepts_numpy_integer_counts():

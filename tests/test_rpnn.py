@@ -75,6 +75,9 @@ def test_sample_basis_validation():
         sample_basis(5, 5, 1.0, bounds=(1.0, -1.0))
     with pytest.raises(ValueError, match="hidden"):
         sample_basis(True, True, 1.0)
+    for bounds in [(0.0, 1.0, 2.0), (1.0,), 5.0]:
+        with pytest.raises(ValueError, match="weight bounds must be a pair"):
+            sample_basis(5, 5, 1.0, bounds=bounds)
 
 
 # These raised OverflowError from numpy and LinAlgError from the SVD.
