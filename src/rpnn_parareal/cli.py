@@ -55,7 +55,8 @@ from .certificates import field_log_norm_bound, quadrature_certificate
 from .collocation import LmOptions, collocation_grid
 from .integrators import (FineMethod, NewtonOptions, SolverError, _check_real, serial_solve,
                           step_count)
-from .parareal import PararealConfig, PararealResult, TimeMesh, evaluate_piecewise, parareal_solve
+from .parareal import (PararealConfig, PararealResult, TimeMesh, _block_triples,
+                       evaluate_piecewise, parareal_solve)
 from .problems import BENCHMARK_NAMES, OdeSystem, default_initial_state, make_benchmark
 from .rpnn import eval_network_many
 
@@ -260,15 +261,10 @@ def build_solver(config: ExperimentConfig
             mesh = TimeMesh.uniform(t0, t_end,
                                     _integer("mesh intervals", config.mesh["intervals"], 1))
         else:
-            blocks = config.mesh["blocks"]
-            if not (isinstance(blocks, (list, tuple)) and all(
-                    isinstance(block, (list, tuple)) and len(block) == 3 for block in blocks)):
-                raise ValueError(f"mesh blocks must be a list of [start, end, count] triples, "
-                                 f"got {blocks!r}")
             mesh = TimeMesh.from_blocks(
                 [(float(_check_real("mesh block start", a)),
                   float(_check_real("mesh block end", b)), _integer("mesh block count", n, 1))
-                 for a, b, n in blocks])
+                 for a, b, n in _block_triples(config.mesh["blocks"])])
             span = (float(mesh.nodes[0]), float(mesh.nodes[-1]))
             if span != (t0, t_end):
                 raise ValueError(f"mesh blocks span {list(span)}, "

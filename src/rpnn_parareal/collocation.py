@@ -18,7 +18,9 @@ row.  The states are evaluated once per trial weights: the residual keeps
 them for the Jacobian, which is asked for only at the weights of an
 accepted trial.  The trainer works on this dense Jacobian for every system,
 with its constant block I_d (x) Hp built once per training, and has two
-modes.
+modes.  Both terms of the Jacobian are assembled over rows of d H
+entries, DF repeated over h and Hm over k: a numpy loop over the H = 5
+entries of one block costs Burgers (d = 51) about twice as much.
 The exact fit solves G = 0 by Newton's method, damping only after a rejected
 step.  The regularized fit keeps Marquardt damping on throughout, so that a
 stiff transient the ansatz cannot resolve still gets weights of moderate size.
@@ -214,20 +216,25 @@ def _residual_jacobian_of(
 
     Rows of vec(G) are (j, c) and columns of vec(theta) (k, h), so the
     Jacobian is the (d, C, d, H) array delta_jk * Hp[c, h] - DF_c[j, k] *
-    Hm[c, h].  Its first term, I_d (x) Hp, is built here once; each call
-    multiplies DF by Hm into a fresh buffer and subtracts it from that block
-    in place.  Off the diagonal blocks the first term is 0 * Hp, so even the
-    signs of zeros are those of the expression.  A non-finite DF raises
-    `TrainingError` before any solve sees it.
+    Hm[c, h].  Built here once are Hm repeated over k and the first term,
+    I_d (x) Hp, as 0 * Hp repeated over the blocks with Hp written into the
+    diagonal ones, so even the signs of zeros are those of the expression.
+    Each call repeats DF over h into a fresh (d, C, d H) buffer, multiplies
+    it by that Hm in place and subtracts it from the frame in place: every
+    numpy loop runs over d H contiguous entries, not over H.
+    A non-finite DF raises `TrainingError` before any solve sees it.
     """
-    hp, hm = basis.feat_prime, basis.feat_shifted[:, np.newaxis, :]
+    hp = basis.feat_prime
     (c_count, h_count), d = hp.shape, len(x0)
-    frame = np.eye(d)[:, np.newaxis, :, np.newaxis] * hp[:, np.newaxis, :]
+    hm = basis.feat_shifted[:, np.newaxis, :].repeat(d, 1).reshape(c_count, d * h_count)
+    frame = (0.0 * hp)[np.newaxis, :, np.newaxis, :].repeat(d, 2).repeat(d, 0)
+    np.einsum("jcjh->jch", frame)[...] = hp
+    frame = frame.reshape(d, c_count, d * h_count)
 
     def jacobian(states):
         jacs = _at_nodes(evaluate_rows(system.jacobian, states), "field Jacobian")
-        blocks = np.multiply(jacs.transpose(1, 0, 2)[:, :, :, np.newaxis], hm,
-                             out=np.empty(frame.shape))
+        blocks = jacs.transpose(1, 0, 2).repeat(h_count, 2)
+        np.multiply(blocks, hm, out=blocks)
         return np.subtract(frame, blocks, out=blocks).reshape(d * c_count, d * h_count)
 
     return jacobian
@@ -520,9 +527,10 @@ def train_coarse(
     `levenberg_marquardt` are bitwise `residual` and `residual_jacobian`;
     the Jacobian reuses the node states of the last residual call when
     asked at those weights.  The trainer also gets the feature row phi of
-    `eval_network` at t = dt, for "endpoint_xtol" in both fit modes: a step
-    that moves the network's value there by at most 1e-12 of its size stops
-    the exact fit, and by at most 1e-10 the regularized one.
+    `eval_network` at t = dt, formed once per basis, for "endpoint_xtol" in
+    both fit modes: a step that moves the network's value there by at most
+    1e-12 of its size stops the exact fit, and by at most 1e-10 the
+    regularized one.
     """
     opts = opts or LmOptions()
     if theta_init is None:
@@ -540,5 +548,5 @@ def train_coarse(
         # residual call saw, and writes to no weights it has passed.
         return jacobian_at(last[1] if theta is last[0] else collocation_states(basis, theta, x0))
 
-    phi = np.tanh(basis.a * basis.dt + basis.b) - basis.sigma_b
-    return levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts, endpoint=(phi, x0))
+    return levenberg_marquardt(residual_fn, jacobian_fn, theta_init, opts,
+                               endpoint=(basis._feat_end, x0))

@@ -65,11 +65,12 @@ class TimeMesh:
     @classmethod
     def from_blocks(cls, blocks: Sequence[tuple[float, float, int]]) -> "TimeMesh":
         """Concatenate uniform blocks, e.g. a refined early region then a
-        coarse tail; adjacent blocks must share their boundary time, each
+        coarse tail; `blocks` must be a list or tuple of (start, end, count)
+        lists or tuples, adjacent blocks must share their boundary time, each
         block's endpoints must be real numbers and its interval count an
         integer >= 1 (a bool is neither)."""
         nodes = None
-        for i, (start, end, count) in enumerate(blocks):
+        for i, (start, end, count) in enumerate(_block_triples(blocks)):
             check_count(f"interval count of mesh block {i}", count)
             block = np.linspace(_check_real(f"start of mesh block {i}", start),
                                 _check_real(f"end of mesh block {i}", end), count + 1)
@@ -80,6 +81,15 @@ class TimeMesh:
                     raise ValueError("mesh blocks must be contiguous")
                 nodes = np.concatenate([nodes, block[1:]])
         return cls(nodes)
+
+
+def _block_triples(blocks):
+    """`blocks` if it is a list or tuple of 3-item lists or tuples."""
+    if not (isinstance(blocks, (list, tuple)) and all(
+            isinstance(block, (list, tuple)) and len(block) == 3 for block in blocks)):
+        raise ValueError(f"mesh blocks must be a list of [start, end, count] triples, "
+                         f"got {blocks!r}")
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -77,17 +77,29 @@ class BurgersDiscretization:
     Boundary rows of both stencil matrices are zeroed so the assembled field
     keeps homogeneous Dirichlet values pinned: boundary derivatives are 0.
     Its methods are the Burgers system's Jacobian and field, also its row field.
+    The Jacobian -diag(D1 u) - u D1 + nu D2 is formed in one buffer from
+    nu D2, taken once on construction, with the operations and roundings of
+    that expression, signs of zeros included.
     """
 
     viscosity: float
     d1: Matrix
     d2: Matrix
+    _viscous_d2: Matrix = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_viscous_d2", self.viscosity * self.d2)
 
     def field(self, u: Vector) -> Vector:
         return -u * (u @ self.d1.T) + self.viscosity * (u @ self.d2.T)
 
     def jacobian(self, u: Vector) -> Matrix:
-        return -np.diag(self.d1 @ u) - u[:, np.newaxis] * self.d1 + self.viscosity * self.d2
+        # Entry by entry the operations of the expression: off the diagonal
+        # -diag(D1 u) is -0.0, on it -(D1 u)_i, minus u_i D1_ij either way.
+        jac = np.multiply(u[:, np.newaxis], self.d1)
+        np.subtract(-0.0, jac, out=jac)
+        np.subtract(-(self.d1 @ u), u * self.d1.diagonal(), out=jac.reshape(-1)[:: len(u) + 1])
+        return np.add(jac, self._viscous_d2, out=jac)
 
 
 def evaluate_rows(fn: Callable[[Vector], np.ndarray], states: Matrix) -> np.ndarray:

@@ -21,7 +21,7 @@ import logging
 import math
 import numbers
 from collections.abc import Sized
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -65,6 +65,12 @@ class RpnnBasis:
     cond: float
     resamples: int
     seed: int
+    # sigma(a dt + b) - sigma(b): the features of the value at t = dt, which
+    # `train_coarse` stops on, formed once per basis.
+    _feat_end: np.ndarray = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_feat_end", np.tanh(self.a * self.dt + self.b) - self.sigma_b)
 
 
 def _feature_matrices(a, b, nodes):

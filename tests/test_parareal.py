@@ -79,6 +79,16 @@ def test_mesh_builders_reject_endpoints_that_are_not_real_numbers(build, name):
         build()
 
 
+# Each raised an unpacking or iteration error that named no setting, or, for
+# "abc", read the string as a block and complained about its count 'c'.
+@pytest.mark.parametrize("blocks", [[(0.0, 1.0)], [(0, 1, 2, 3)], 5, ["abc"]],
+                         ids=["pair", "four-items", "number", "string-block"])
+def test_mesh_blocks_reject_blocks_that_are_not_triples(blocks):
+    with pytest.raises(ValueError, match=r"^mesh blocks must be a list of \[start, end, "
+                                         r"count\] triples"):
+        TimeMesh.from_blocks(blocks)
+
+
 def test_mesh_builders():
     mesh = TimeMesh.uniform(0.0, 2.0, 4)
     np.testing.assert_allclose(mesh.nodes, [0, 0.5, 1.0, 1.5, 2.0])

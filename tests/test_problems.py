@@ -15,6 +15,7 @@ from rpnn_parareal import (
 from rpnn_parareal.problems import (
     ARENSTORF_V2_0,
     BENCHMARK_NAMES,
+    BurgersDiscretization,
     burgers_initial_condition,
     default_initial_state,
     evaluate_rows,
@@ -331,6 +332,26 @@ def test_burgers_jacobian_matches_fd_at_sine_profile():
                 u = rng.standard_normal(n)
                 reference = -np.diag(disc.d1 @ u) - np.diag(u) @ disc.d1 + nu * disc.d2
                 assert _bitwise_equal(system.jacobian(u), reference), (n, nu)
+
+
+def test_burgers_jacobian_is_the_expression_bitwise():
+    """The Jacobian, formed in one buffer, has the bytes of the expression
+    -diag(D1 u) - u D1 + nu D2, signs of zeros included: on random states,
+    on u = 0, on states holding -0.0, and for stencils built by hand."""
+    rng = np.random.default_rng(21)
+    signed_zeros = rng.standard_normal(51)
+    signed_zeros[::3], signed_zeros[1::7] = -0.0, 0.0
+    discs = [burgers_semidiscretize(n, nu)[1] for n in (3, 17, 51) for nu in (1.0 / 50.0, 0.0)]
+    d1, d2 = rng.standard_normal((2, 6, 6))
+    d1[1, :3], d2[2, 3:] = -0.0, 0.0
+    discs.append(BurgersDiscretization(0.3, d1, d2))
+    for disc in discs:
+        n, nu = len(disc.d1), disc.viscosity
+        states = [rng.standard_normal(n) for _ in range(5)]
+        states += [np.zeros(n), -np.zeros(n), signed_zeros[:n], -signed_zeros[:n]]
+        for u in states:
+            expected = -np.diag(disc.d1 @ u) - u[:, np.newaxis] * disc.d1 + nu * disc.d2
+            assert _bitwise_equal(disc.jacobian(u), expected), (n, nu, u)
 
 
 def test_burgers_rejects_tiny_grid():
