@@ -1,4 +1,12 @@
-"""Collocation residual, its analytic Jacobian, quadrature rules, and the trainer.
+"""Collocation nodes and weights, the residual, its analytic Jacobian, and the trainer.
+
+The nodes on [0, dt] are uniform, Gauss-Lobatto or right Radau points (the
+nodes of Radau IIA: dt the last, none at 0), and the quadrature weights
+come from one moment solve for every kind.  With as many nodes as hidden
+units the exact fit below is an implicit Runge-Kutta step whose tableau the
+basis sets.  A node at t = 0 keeps its stability function near 1 in modulus
+on stiff modes; on Radau nodes it damps them, as Radau IIA does, which a
+Parareal coarse map needs on a stiff problem such as ROBER.
 
 The outer-layer weights of the random-feature ansatz are fitted per interval
 by driving the collocation residual
@@ -92,32 +100,64 @@ def _unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _legendre_table(x: np.ndarray, n: int) -> np.ndarray:
+    """P_0, ..., P_n at the points x, one column each, by the Legendre
+    three-term recurrence."""
+    table = np.zeros((len(x), n + 1))
+    table[:, 0] = 1.0
+    table[:, 1] = x
+    for k in range(1, n):
+        table[:, k + 1] = ((2 * k + 1) * x * table[:, k] - k * table[:, k - 1]) / (k + 1)
+    return table
+
+
 def _legendre_gauss_lobatto(n: int) -> np.ndarray:
     """LGL nodes on [-1, 1]: the endpoints plus the roots of P'_{n-1}.
 
-    Newton iteration on the Legendre three-term recurrence, starting from the
+    Newton iteration on `_legendre_table`, starting from the
     Chebyshev-Gauss-Lobatto points.
     """
     if n == 2:
         return np.array([-1.0, 1.0])
     x = np.cos(np.pi * np.arange(n) / (n - 1))
-    vand = np.zeros((n, n))
     x_prev = x + 1.0
     while np.max(np.abs(x - x_prev)) > 1e-15:
-        vand[:, 0] = 1.0
-        vand[:, 1] = x
-        for k in range(1, n - 1):
-            vand[:, k + 1] = ((2 * k + 1) * x * vand[:, k] - k * vand[:, k - 1]) / (k + 1)
+        p = _legendre_table(x, n - 1)
         x_prev = x.copy()
-        x = x_prev - (x * vand[:, n - 1] - vand[:, n - 2]) / (n * vand[:, n - 1])
+        x = x_prev - (x * p[:, n - 1] - p[:, n - 2]) / (n * p[:, n - 1])
     x = np.sort(x)
     x[0] = -1.0
     x[-1] = 1.0
     return x
 
 
+def _legendre_gauss_radau(n: int) -> np.ndarray:
+    """Right Radau nodes on [-1, 1]: the n roots of P_n - P_{n-1}, 1 the last.
+
+    Newton iteration on `_legendre_table`, starting from the mirrored
+    Chebyshev-Gauss-Radau points; (P_n - P_{n-1})' = n (P_n + P_{n-1}) / (1 + x).
+    At x = 1 the recurrence gives P_n = P_{n-1} = 1 exactly, so that node
+    never moves.  Each start lies nearest its own root, so the iterates keep
+    the starts' descending order and are reversed rather than sorted: the
+    first `np.sort` of a process costs about 0.5 MB of resident memory.
+    """
+    x = np.cos(2.0 * np.pi * np.arange(n) / (2 * n - 1))
+    x_prev = x + 1.0
+    while np.max(np.abs(x - x_prev)) > 1e-15:
+        p = _legendre_table(x, n)
+        x_prev = x.copy()
+        x = x_prev - (1.0 + x) * (p[:, n] - p[:, n - 1]) / (n * (p[:, n] + p[:, n - 1]))
+    return x[::-1]
+
+
 def collocation_nodes(kind: str, c: int, dt: float) -> np.ndarray:
-    """Collocation times in [0, dt]: equispaced or Gauss-Lobatto."""
+    """Collocation times in [0, dt], strictly increasing, by kind.
+
+    "uniform": equispaced, 0 and dt included (dt / 2 for one node);
+    "lobatto": the Gauss-Lobatto points, 0 and dt included (c >= 2);
+    "radau": the right Radau points, the nodes of Radau IIA: dt is the last
+    node, exactly, and none lies at 0 (c = 1 gives [dt]).
+    """
     if c < 1:
         raise ValueError("need at least one collocation node")
     if not (dt > 0 and math.isfinite(dt)):
@@ -130,6 +170,8 @@ def collocation_nodes(kind: str, c: int, dt: float) -> np.ndarray:
         if c == 1:
             raise ValueError("Lobatto nodes are undefined for a single point")
         return 0.5 * dt * (_legendre_gauss_lobatto(c) + 1.0)
+    if kind == "radau":
+        return 0.5 * dt * (_legendre_gauss_radau(c) + 1.0)
     raise ValueError(f"unknown node kind {kind!r}")
 
 

@@ -93,6 +93,14 @@ def test_bench_workloads_build(tmp_path, monkeypatch):
         assert workload.solver == build_solver(workload.config)[3], name
 
 
+def test_bench_rober_workload_follows_cli_defaults(tmp_path, monkeypatch):
+    """`rober-reduced` takes its node kind and fit from the CLI's rober
+    defaults: Radau nodes and the library's fit."""
+    workload = _load_workloads(monkeypatch).build("rober-reduced", tmp_path)
+    assert workload.solver.node_kind == "radau"
+    assert workload.solver.lm.floor_to_gauss_newton == LmOptions().floor_to_gauss_newton
+
+
 def test_bench_burgers_lm_step_on_operator(tmp_path, monkeypatch):
     """The traced benchmark times one LM step on the Burgers operator with
     the workload's LmOptions; that call returns a finite report."""

@@ -54,11 +54,13 @@ def test_benchmark_defaults_cover_paper_setups():
     assert sir["t_end"] == 10.0 and sir["fine"]["dt"] == 1e-2
     assert sir["tol"] == 1e-4 and sir["max_it"] == 20
     assert sir["rpnn"]["gauss_newton_floor"] is True
-    assert rober["rpnn"]["gauss_newton_floor"] is False
-    # One default fit: every benchmark but rober takes `PararealConfig`'s.
+    # One default fit, `PararealConfig`'s, for every benchmark; rober alone
+    # collocates on Radau nodes.
     library = PararealConfig(fine=FineMethod()).lm.floor_to_gauss_newton
-    for name in set(BENCHMARK_NAMES) - {"rober"}:
-        assert benchmark_defaults(name)["rpnn"]["gauss_newton_floor"] == library
+    for name in BENCHMARK_NAMES:
+        rpnn = benchmark_defaults(name)["rpnn"]
+        assert rpnn["gauss_newton_floor"] == library
+        assert rpnn["node_kind"] == ("radau" if name == "rober" else "uniform"), name
     assert arenstorf["max_it"] == 40
 
 

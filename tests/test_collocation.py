@@ -76,7 +76,39 @@ def test_lobatto_single_node_rejected():
         collocation_nodes("chebyshev", 3, 1.0)
 
 
-@pytest.mark.parametrize("kind", ["uniform", "lobatto"])
+@pytest.mark.parametrize("c", range(1, 10))
+@pytest.mark.parametrize("dt", [0.1, 1.0, 1.8])
+def test_radau_nodes_end_at_dt_and_avoid_zero(c, dt):
+    nodes = collocation_nodes("radau", c, dt)
+    assert len(nodes) == c
+    assert np.all(np.diff(nodes) > 0)
+    assert nodes[0] > 0.0
+    assert nodes[-1] == dt
+
+
+def test_radau_nodes_match_radau_iia():
+    # (1 + x) / 2 for the roots x of P_5 - P_4, to 20 digits.
+    radau_iia = [0.057104196114517682193, 0.27684301363812382768, 0.58359043236891682006,
+                 0.86024013565621944785, 1.0]
+    np.testing.assert_allclose(collocation_nodes("radau", 5, 1.0), radau_iia, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(collocation_nodes("radau", 3, 1.0),
+                               [(4 - 6**0.5) / 10, (4 + 6**0.5) / 10, 1.0], rtol=0, atol=1e-15)
+
+
+def test_radau_grid_is_exact_to_radau_order():
+    """The moment-solve weights on C Radau nodes integrate t^k exactly for
+    k <= 2C - 2, past the C - 1 that any C nodes guarantee."""
+    dt, c = 0.7, 5
+    grid = collocation_grid("radau", c, dt)
+    for k in range(2 * c - 1):
+        exact = dt ** (k + 1) / (k + 1)
+        got = float(grid.weights @ grid.nodes**k)
+        assert abs(got - exact) <= 1e-13 * abs(exact), k
+    k = 2 * c - 1
+    assert abs(float(grid.weights @ grid.nodes**k) - dt ** (k + 1) / (k + 1)) > 1e-6 * dt**(k + 1)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lobatto", "radau"])
 @pytest.mark.parametrize("dt", [np.inf, np.nan])
 def test_nodes_reject_non_finite_length(kind, dt):
     with pytest.raises(ValueError, match="interval length must be positive and finite"):

@@ -572,7 +572,7 @@ def test_piecewise_decay_within_certificate_budget():
 
 
 # ---------------------------------------------------------------------------
-# The regularized fit on ROBER and off it
+# ROBER: the exact fit on Radau nodes, and the regularized fit
 # ---------------------------------------------------------------------------
 
 
@@ -585,34 +585,93 @@ def _cli_run(config_dict):
     return result, error, [r for sweep in result.train_reports for r in sweep]
 
 
-# Before the regularized fit stopped on its endpoint, these runs read 2
-# iterations with errors 4.3210e-8 and 2.2451e-6, and 30 of their 42
-# trainings stopped at the iteration cap.  With the stop at 1e-12 the errors
-# were the same; at 1e-10 they read 4.8823e-8 and 2.2462e-6.
+_REDUCED_ROBER = {"benchmark": "rober", "t_end": 10.0, "fine": {"dt": 1e-3},
+                  "mesh": {"kind": "blocks", "blocks": [[0.0, 1.0, 10], [1.0, 10.0, 5]]}}
+_REGULARIZED_UNIFORM = {"node_kind": "uniform", "gauss_newton_floor": False}
+
+
+def _stability_at(basis, z):
+    """R(z) of the exact fit on `basis` read as an implicit Runge-Kutta step.
+
+    With stage slopes k = Hp theta the node states are x0 + dt A k and the
+    endpoint x0 + dt b^T k, for A = Hm Hp^-1 / dt and b^T = phi^T Hp^-1 / dt,
+    phi the features of the value at dt; on x' = lambda x, z = lambda dt,
+    R(z) = 1 + z b^T (I - z A)^-1 1.
+    """
+    inverse = np.linalg.inv(basis.feat_prime)
+    a = basis.feat_shifted @ inverse / basis.dt
+    b = basis._feat_end @ inverse / basis.dt
+    ones = np.ones(basis.colloc)
+    return 1.0 + z * b @ np.linalg.solve(np.eye(basis.colloc) - z * a, ones)
+
+
+# Every basis the reduced ROBER run samples (seven: its block lengths 0.1 and
+# 1.8 round to several floats) at z = -1e3, where e^z is 0.  On Radau nodes
+# |R| read 0.0009 to 0.0096 at seeds 0 to 3, on uniform nodes 0.30 to 2.0:
+# a coarse map that does not damp the stiff mode lets the corrected sweeps
+# amplify stiff errors.
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("node_kind, damped", [("radau", True), ("uniform", False)])
+def test_radau_nodes_damp_rober_stiff_mode(seed, node_kind, damped):
+    system, _, mesh, config = build_solver(ExperimentConfig.from_dict(
+        {**_REDUCED_ROBER, "rpnn": {"seed": seed, "node_kind": node_kind}}))
+    bases = {id(basis): basis for basis in _CoarseTrainer(system, mesh, config).bases}
+    for basis in bases.values():
+        modulus = abs(_stability_at(basis, -1e3))
+        assert modulus <= 0.01 if damped else modulus >= 0.25, basis.dt
+
+
+# The ROBER default, the exact fit on Radau nodes, at seeds 0 to 3 of the
+# reduced run: 2 iterations with errors 1.1e-10, 2.5e-10, 4.1e-10 and
+# 4.4e-10 against serial.  The regularized fit on uniform nodes read 2
+# iterations too, with errors of 4.4e-8 to 2.2e-6 over seeds 0 to 7.
+@pytest.mark.parametrize("seed", range(4))
+def test_reduced_rober_default_converges_far_below_tol(seed):
+    result, err, _ = _cli_run({**_REDUCED_ROBER, "rpnn": {"seed": seed}})
+    assert result.converged and result.iterations == 2
+    assert err < 1e-9
+
+
+# The regularized fit on uniform nodes, the ROBER default before Radau nodes.
+# Before it stopped on its endpoint, these runs read 2 iterations with errors
+# 4.3210e-8 and 2.2451e-6, and 30 of their 42 trainings stopped at the
+# iteration cap.  With the stop at 1e-12 the errors were the same; at 1e-10
+# they read 4.8823e-8 and 2.2462e-6.
 @pytest.mark.parametrize("seed, error", [(1, "4.88e-08"), (6, "2.25e-06")])
 def test_reduced_rober_keeps_iterations_and_error(seed, error):
-    result, err, reports = _cli_run({
-        "benchmark": "rober", "t_end": 10.0, "fine": {"dt": 1e-3},
-        "mesh": {"kind": "blocks", "blocks": [[0.0, 1.0, 10], [1.0, 10.0, 5]]},
-        "rpnn": {"seed": seed}})
+    result, err, reports = _cli_run(
+        {**_REDUCED_ROBER, "rpnn": {"seed": seed, **_REGULARIZED_UNIFORM}})
     assert result.converged and result.iterations == 2
     assert f"{err:.2e}" == error
     assert any(r.termination == "endpoint_xtol" for r in reports)
 
 
-# Before the endpoint stop: 1 iteration, error 1.0461e-6, and 20 755 LM
-# iterations summed over the reports; with the regularized fit's endpoint
-# xtol at 1e-12, error 1.046e-6 and 2 427 LM iterations.
+# The regularized fit on uniform nodes, before its endpoint stop: 1
+# iteration, error 1.0461e-6, and 20 755 LM iterations summed over the
+# reports; with the regularized fit's endpoint xtol at 1e-12, error 1.046e-6
+# and 2 427 LM iterations.
 @pytest.mark.slow
 def test_rober_default_keeps_iterations_and_error_in_fewer_lm_iterations():
-    result, err, reports = _cli_run({"benchmark": "rober", "rpnn": {"seed": 0}})
+    result, err, reports = _cli_run({"benchmark": "rober",
+                                     "rpnn": {"seed": 0, **_REGULARIZED_UNIFORM}})
     assert result.converged and result.iterations == 1
     assert f"{err:.3e}" == "1.070e-06"
     assert sum(r.iterations for r in reports) < 2000
 
 
-# No CLI default uses the regularized fit off rober, and `PararealConfig`
-# defaults to the exact fit.  On the sir and brusselator CLI defaults at seed 0 it
+# The ROBER default, the exact fit on Radau nodes, at seed 0: error 1.755e-8
+# and 405 LM iterations summed over the reports, against the regularized
+# fit's 1.070e-6 and 1 360 on uniform nodes.
+@pytest.mark.slow
+def test_rober_default_on_radau_nodes_converges_in_one_iteration():
+    result, err, reports = _cli_run({"benchmark": "rober", "rpnn": {"seed": 0}})
+    assert result.converged and result.iterations == 1
+    assert f"{err:.3e}" == "1.755e-08"
+    assert sum(r.iterations for r in reports) < 500
+
+
+# No CLI default uses the regularized fit, and `PararealConfig` defaults to
+# the exact fit.  On the sir and brusselator CLI defaults at seed 0 it
 # converged in 1 and 3 iterations with errors 6.8e-11 and 1.1e-10 before the
 # endpoint stop, 1.3e-10 and 5.7e-11 with it at 1e-12 and 3.3e-10 and 8.3e-10
 # with it at 1e-10, against tol 1e-4; the bound leaves a factor of about 3
